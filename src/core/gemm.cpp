@@ -29,7 +29,13 @@ inline void WriteBack(const float* acc, std::int64_t acc_ld, float alpha,
 
 // Per-thread packing scratch; reused across calls so small GEMMs (the
 // library's common case: 16×144-ish conv lowerings) never allocate.
-thread_local std::vector<float> tl_apack;
+// Packed A is static TLS sized for the largest MC×KC block of any tier:
+// it exists from thread start, so no pool thread ever allocates on its
+// first task — which task lands on which thread is decided dynamically,
+// and a grow-on-demand buffer made "allocation-free in steady state"
+// depend on that draw. Packed B is the caller's, sized per problem.
+constexpr std::int64_t kApackFloats = 96 * 192;
+alignas(64) thread_local float tl_apack[kApackFloats];
 thread_local std::vector<float> tl_bpack;
 
 // Tags for the packed-A cache: parallel tasks are (row block × jr group)
@@ -114,10 +120,11 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
         const std::int64_t ic = blk * MC;
         const std::int64_t mc = std::min(MC, m - ic);
         const std::int64_t mc_padded = (mc + MR - 1) / MR * MR;
-        auto& apack = tl_apack;
+        float* apack = tl_apack;
         if (tl_apack_epoch != epoch || tl_apack_blk != blk) {
-          core::EnsureScratch(apack, mc_padded * kc);
-          kern.pack_a(a, lda, trans_a, ic, pc, mc, kc, apack.data());
+          FLUID_CHECK_MSG(mc_padded * kc <= kApackFloats,
+                          "Gemm: packed A block exceeds its scratch");
+          kern.pack_a(a, lda, trans_a, ic, pc, mc, kc, apack);
           tl_apack_epoch = epoch;
           tl_apack_blk = blk;
         }
@@ -130,7 +137,7 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           const std::int64_t cols = std::min(NR, nc - jr);
           for (std::int64_t ir = 0; ir < mc; ir += MR) {
             const std::int64_t rows = std::min(MR, mc - ir);
-            kern.micro(kc, apack.data() + ir * kc, bp, acc);
+            kern.micro(kc, apack + ir * kc, bp, acc);
             WriteBack(acc, NR, alpha, rows, cols,
                       c + (ic + ir) * ldc + jc + jr, ldc);
           }

@@ -32,7 +32,11 @@ inline void QWriteBack(const std::int32_t* acc, std::int64_t acc_ld,
 // vectors: panel layout is the kernel's own (int16 pairs for the pmaddwd
 // tiers, biased u8/s8 quads + comp row for vnni); the driver only strides
 // between panels using the kernel's *_panel_bytes.
-thread_local std::vector<std::uint8_t> tl_qapack;
+// Packed A is static TLS sized for the largest block of any tier, for
+// the reason given in gemm.cpp: a pool thread's first task must not
+// allocate.
+constexpr std::int64_t kQApackBytes = 48 * 128 * 4;
+alignas(64) thread_local std::uint8_t tl_qapack[kQApackBytes];
 thread_local std::vector<std::uint8_t> tl_qbpack;
 
 // Packed-A reuse tags (see gemm.cpp): several (row block × jr group)
@@ -92,10 +96,11 @@ void QGemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
         const std::int64_t ic = blk * MC;
         const std::int64_t mc = std::min(MC, m - ic);
         const std::int64_t mc_padded = (mc + MR - 1) / MR * MR;
-        auto& apack = tl_qapack;
+        std::uint8_t* apack = tl_qapack;
         if (tl_qapack_epoch != epoch || tl_qapack_blk != blk) {
-          EnsureScratch(apack, (mc_padded / MR) * a_panel);
-          kern.pack_a(a, lda, ic, pc, mc, kc, apack.data());
+          FLUID_CHECK_MSG((mc_padded / MR) * a_panel <= kQApackBytes,
+                          "QGemmInt8: packed A block exceeds its scratch");
+          kern.pack_a(a, lda, ic, pc, mc, kc, apack);
           tl_qapack_epoch = epoch;
           tl_qapack_blk = blk;
         }
@@ -108,7 +113,7 @@ void QGemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
           const std::int64_t cols = std::min(NR, nc - jr);
           for (std::int64_t ir = 0; ir < mc; ir += MR) {
             const std::int64_t rows = std::min(MR, mc - ir);
-            kern.micro(kc, apack.data() + (ir / MR) * a_panel, bp, acc);
+            kern.micro(kc, apack + (ir / MR) * a_panel, bp, acc);
             QWriteBack(acc, NR, overwrite, rows, cols,
                        c + (ic + ir) * ldc + jc + jr, ldc);
           }

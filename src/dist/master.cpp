@@ -1,7 +1,7 @@
 #include "dist/master.h"
 
 #include <algorithm>
-#include <deque>
+#include <string>
 #include <utility>
 
 #include "core/buffer_pool.h"
@@ -50,17 +50,46 @@ MasterNode::MasterNode(slim::FluidNetConfig config) : config_(config) {
   }
 }
 
-MasterNode::~MasterNode() { StopServing(); }
+MasterNode::~MasterNode() {
+  StopServing();
+  // Close every link so its receive path's Recv returns, then join the
+  // receive paths outside mu_ (each takes mu_ to file what it read).
+  std::vector<std::thread> receivers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (WorkerHandle& handle : workers_) {
+      handle.transport->Close();
+      if (handle.receiver.joinable()) {
+        receivers.push_back(std::move(handle.receiver));
+      }
+    }
+  }
+  for (std::thread& t : receivers) t.join();
+}
 
 std::size_t MasterNode::AttachWorker(TransportPtr transport) {
   FLUID_CHECK_MSG(transport != nullptr, "AttachWorker: null transport");
   std::lock_guard<std::mutex> lock(mu_);
-  WorkerHandle handle;
-  handle.transport = std::move(transport);
-  workers_.push_back(std::move(handle));
+  workers_.emplace_back();
+  const std::size_t w = workers_.size() - 1;
+  StartLinkLocked(w, std::move(transport));
   alive_count_.fetch_add(1, std::memory_order_relaxed);
   RefreshLabelsLocked();
-  return workers_.size() - 1;
+  return w;
+}
+
+void MasterNode::StartLinkLocked(std::size_t w, TransportPtr transport) {
+  WorkerHandle& handle = workers_[w];
+  handle.transport = std::move(transport);
+  ++handle.link_gen;
+  handle.link_down = false;
+  handle.link_error = core::Status::Ok();
+  handle.name.clear();
+  handle.pending.clear();
+  for (auto& filed : handle.replies) RecycleMessage(std::move(filed.second));
+  handle.replies.clear();
+  handle.receiver = std::thread(&MasterNode::ReceiveLoop, this, w,
+                                handle.transport.get(), handle.link_gen);
 }
 
 core::Status MasterNode::ReattachWorker(std::size_t index,
@@ -69,39 +98,55 @@ core::Status MasterNode::ReattachWorker(std::size_t index,
   if (transport == nullptr) {
     return core::Status::InvalidArgument("ReattachWorker: null transport");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (index >= workers_.size()) {
     return core::Status::InvalidArgument("ReattachWorker: no worker " +
                                          std::to_string(index));
   }
-  WorkerHandle& handle = workers_[index];
-  if (handle.alive) {
+  if (workers_[index].alive || workers_[index].replaying) {
     return core::Status::FailedPrecondition(
         "ReattachWorker: worker[" + std::to_string(index) +
         "] is still alive");
   }
-  handle.transport = std::move(transport);
-  handle.alive = true;
-  alive_count_.fetch_add(1, std::memory_order_relaxed);
-  handle.name.clear();
-  handle.pending.clear();
-  handle.reply_buffer.clear();
+  // Swap the fresh link in, then retire the dead one: close it so its
+  // receive path returns, and join that thread outside mu_ (it takes mu_
+  // to file what it read; seeing the new link generation, it files
+  // nothing more). `replaying` keeps the slot out of routing until every
+  // deployment is back.
+  TransportPtr old_link = std::move(workers_[index].transport);
+  std::thread old_receiver = std::move(workers_[index].receiver);
+  StartLinkLocked(index, std::move(transport));
+  workers_[index].replaying = true;
+  lock.unlock();
+  old_link->Close();
+  if (old_receiver.joinable()) old_receiver.join();
+  old_link.reset();
+  lock.lock();
 
   // Replay the slot's deploy history so the fresh process serves exactly
   // what the dead one did. Any failure re-kills the slot: a half-deployed
-  // worker must not rejoin routing.
-  for (const auto& dep : handle.deployments) {
-    auto reply =
-        RpcLocked(index, Message::HeaderOnly(MsgType::kDeploy, 0, dep.tag),
-                  timeout);
-    if (!reply.ok()) return reply.status();  // RpcLocked marked it dead
-    if (reply->type != MsgType::kAck) {
-      auto st = core::Status::Internal("ReattachWorker: redeploy '" +
-                                       dep.name + "' rejected: " + reply->tag);
-      MarkDeadLocked(index, st);
+  // worker must not rejoin routing. By index: the RPC waits release mu_.
+  for (std::size_t i = 0; i < workers_[index].deployments.size(); ++i) {
+    const std::string name = workers_[index].deployments[i].name;
+    auto reply = RpcLocked(
+        index,
+        Message::HeaderOnly(MsgType::kDeploy, 0,
+                            workers_[index].deployments[i].tag),
+        timeout);
+    core::Status st = reply.status();
+    if (reply.ok() && reply->type != MsgType::kAck) {
+      st = core::Status::Internal("ReattachWorker: redeploy '" + name +
+                                  "' rejected: " + reply->tag);
+    }
+    if (!st.ok()) {
+      MarkDeadLocked(index, st);  // no-op when the RPC already did
       return st;
     }
   }
+  WorkerHandle& handle = workers_[index];
+  handle.replaying = false;
+  handle.alive = true;
+  alive_count_.fetch_add(1, std::memory_order_relaxed);
   ++stats_.reattaches;
   FLUID_LOG(Info) << "master: worker[" << index << "] reattached ("
                   << handle.transport->Describe() << "), "
@@ -356,195 +401,156 @@ void MasterNode::ServeActive(BatchScheduler& sched) {
 bool MasterNode::ServePipelineContinuous(BatchScheduler& sched) {
   // Iteration-level HA serving: each ha_chunk cut-activation frame is one
   // scheduling quantum, so frames from *different* requests share the
-  // ha_window in-flight window. Between frames the scheduler re-assembles
-  // — a new arrival's rows ride the next frame (its time-to-first-chunk
-  // excludes the residual service of the work ahead), and an expiring
-  // high-class request displaces queued lower-class rows.
+  // ha_window in-flight window. The loop is launch / retire / wait: ship
+  // every schedulable chunk the window has room for, let the receive path
+  // retire replies in completion order (a good reply resolves its rows
+  // there), fail condemned frames over, and block on one condition —
+  // work plus window room, a retired or failed frame, or the earliest
+  // in-flight deadline. A new arrival rides the next frame as soon as the
+  // window has room; under a burst the window fills and frames grow up to
+  // ha_chunk rows by themselves.
   const BatchOptions& opts = sched.options();
   const std::size_t window = std::max<std::size_t>(1, opts.ha_window);
   const std::size_t quantum = std::max<std::size_t>(1, opts.ha_chunk);
-
-  struct Flight {
-    std::int64_t seq = 0;
-    std::size_t worker = 0;
-    BatchScheduler::WorkChunk chunk;
-  };
-  std::deque<Flight> inflight;
-  bool broken = false;   // pipeline failed / mode flipped: stop refilling
-  bool drained = false;  // pool empty: serve out the window, then return
-
-  // Front-half forwards + one batched cut-activation send for a group of
-  // chunks: every frame the refill gathered goes out through SendBatch as
-  // one link transaction. A chunk that cannot ship (expired budget,
-  // pipeline no longer viable) fails over to the sharded path alone; a
-  // send failure makes the whole group suspect — all of it fails over,
-  // and `broken` bails out of the pipeline after the window drains.
-  auto ship_group = [&](std::vector<BatchScheduler::WorkChunk>&& chunks) {
-    std::vector<Message> frames;
-    std::vector<Flight> flights;
-    std::vector<BatchScheduler::WorkChunk> rejected;
-    core::Status send_st = core::Status::Ok();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const std::size_t w = plan_.back_worker;
-      for (BatchScheduler::WorkChunk& chunk : chunks) {
-        if (!HaViableLocked() || RemainingMs(chunk.deadline).count() == 0) {
-          rejected.push_back(std::move(chunk));
-          continue;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ha_.sched = &sched;
+    ha_.window = window;
+    ha_.broken = false;
+  }
+  // Condemned frames, taken out of the window to fail over here: the
+  // sharded re-serve waits on the receive paths, so it must never run on
+  // one.
+  std::vector<Flight> failed;
+  try {
+    for (;;) {
+      // Launch. With the window empty the grab may block briefly (the
+      // max_delay straggler window); with frames in flight it never does.
+      for (;;) {
+        std::chrono::milliseconds wait{0};
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (ha_.broken || ha_.flights.size() >= window) break;
+          if (ha_.flights.empty()) wait = std::chrono::milliseconds(1);
         }
-        core::Tensor storage;
-        const core::Tensor* stacked = StackChunk(chunk, storage);
-        core::Tensor cut = local_[plan_.pipeline_front].Forward(*stacked,
-                                                               false);
-        if (!storage.empty()) core::RecycleTensor(std::move(storage));
-        const Deployment* back_dep =
-            FindDeploymentLocked(w, plan_.pipeline_back);
-        const bool quant_cut =
-            back_dep != nullptr && back_dep->quant.int8_wire;
-        const std::int64_t seq = next_seq_++;
-        workers_[w].pending.insert(seq);
-        Message frame;
-        if (quant_cut) {
-          frame = Message::WithQuantBatch(MsgType::kInfer, seq,
-                                          plan_.pipeline_back,
-                                          quant::QuantizeTensor(cut));
-          core::RecycleTensor(std::move(cut));
-          ++stats_.quant_cut_frames;
-        } else {
-          frame = Message::WithBatch(MsgType::kInfer, seq,
-                                     plan_.pipeline_back, std::move(cut));
+        BatchScheduler::WorkChunk chunk;
+        if (!sched.NextChunk(quantum, wait, chunk)) break;
+        if (!LaunchFrame(chunk)) {
+          // Not shippable (pipeline no longer viable, budget spent, send
+          // failed): this chunk fails over alone, and the rest of the
+          // window is not trusted either.
+          ServeChunkSharded(sched, chunk);
+          std::lock_guard<std::mutex> lock(mu_);
+          BreakWindowLocked();
         }
-        // v4 SLO block: the frame advertises its most urgent member's
-        // class and remaining budget for per-class accounting downstream.
-        frame.SetSlo(static_cast<std::uint8_t>(chunk.top),
-                     RemainingMs(chunk.urgent_deadline).count());
-        // v6 trace block, only on links negotiated for it: the worker
-        // echoes stamp + service duration so the reply splits the round
-        // trip into link time vs back-half compute.
-        if (chunk.trace_id != 0 && workers_[w].trace_wire) {
-          frame.SetTrace(chunk.trace_id, chunk.trace_parent, obs::NowUs());
-        }
-        frames.push_back(std::move(frame));
-        flights.push_back({seq, w, std::move(chunk)});
       }
-      if (!frames.empty()) {
-        send_st = SendBatchLocked(
-            w, std::span<const Message>(frames.data(), frames.size()));
-        for (Message& f : frames) RecycleMessage(std::move(f));
-        if (send_st.ok()) {
-          for (const Flight& fl : flights) {
-            ++stats_.batches;
-            stats_.coalesced_samples += fl.chunk.rows;
-          }
-        } else {
-          for (const Flight& fl : flights) {
-            workers_[w].pending.erase(fl.seq);
-            ++stats_.failovers;
+
+      // Retire: take condemned frames; a flight past its deadline had its
+      // whole window to answer, so it condemns its worker (and with it
+      // the window).
+      bool broken = false;
+      std::size_t inflight = 0;
+      Clock::time_point earliest = Clock::time_point::max();
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto now = Clock::now();
+        for (const Flight& fl : ha_.flights) {
+          if (fl.chunk.deadline <= now) {
+            MarkDeadLocked(fl.worker,
+                           core::Status::DeadlineExceeded(
+                               "master: worker[" + std::to_string(fl.worker) +
+                               "] did not answer a pipeline frame in time"));
+            // MarkDeadLocked broke the window — unless the worker was
+            // already out of routing; never leave an expired frame behind.
+            if (!ha_.flights.empty()) BreakWindowLocked();
+            break;
           }
         }
+        failed.swap(ha_.failed);
+        broken = ha_.broken;
+        inflight = ha_.flights.size();
+        for (const Flight& fl : ha_.flights) {
+          earliest = std::min(earliest, fl.chunk.deadline);
+        }
       }
+      for (Flight& fl : failed) ServeChunkSharded(sched, fl.chunk);
+      failed.clear();
+      if (broken || inflight == 0) {
+        // A broken window is empty by now (BreakWindowLocked moved it
+        // all to `failed`); an empty one means the pool drained.
+        std::lock_guard<std::mutex> lock(mu_);
+        ha_.sched = nullptr;
+        return broken;
+      }
+      sched.AwaitEvent(inflight < window, earliest);
     }
-    if (send_st.ok()) {
-      for (Flight& fl : flights) inflight.push_back(std::move(fl));
-    } else {
-      broken = true;
-      for (Flight& fl : flights) ServeChunkSharded(sched, fl.chunk);
-    }
-    for (BatchScheduler::WorkChunk& chunk : rejected) {
-      broken = true;
-      ServeChunkSharded(sched, chunk);
-    }
-  };
+  } catch (...) {
+    // A throw (bad input shape) fails every in-service request in the
+    // drain loop's handler. Reclaim the window first so no receive path
+    // resolves rows of a request that is gone; late replies go stale.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Flight& fl : ha_.flights) ForgetSeqLocked(fl.worker, fl.seq);
+    ha_.flights.clear();
+    ha_.failed.clear();
+    ha_.sched = nullptr;
+    throw;
+  }
+}
 
-  // Await the oldest in-flight frame and resolve its rows; a bad reply
-  // fails the *frame* over to the sharded path — the requests behind it
-  // live on in the pool, untouched.
-  auto await_oldest = [&] {
-    Flight fl = std::move(inflight.front());
-    inflight.pop_front();
-    core::Status st = core::Status::Ok();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const std::size_t w = fl.worker;
-      auto got = AwaitReplyLocked(w, fl.seq, fl.chunk.deadline);
-      if (!got.ok()) {
-        st = got.status();
-      } else if (!WellFormedResult(*got, fl.chunk.rows) ||
-                 got->payload.numel() !=
-                     fl.chunk.rows * config_.num_classes) {
-        st = core::Status::Internal(
-            "worker[" + std::to_string(w) + "]: " +
-            (got->type == MsgType::kError
-                 ? "back half failed: " + got->tag
-                 : "malformed pipeline chunk result"));
-      } else {
-        stats_.served_pipeline += fl.chunk.rows;
-        RecordWireReply(*got,
-                        wire_ms_[static_cast<std::size_t>(fl.chunk.top)]);
-        // Resolve under mu_: the cached pipeline label is guarded by it,
-        // and the scheduler lock only ever nests inside mu_.
-        sched.CompleteChunk(fl.chunk, got->payload, label_pipeline_);
-        RecycleMessage(std::move(*got));
-        return;
-      }
-      ++stats_.failovers;
-      FLUID_LOG(Warn) << "master: pipeline chunk failed (" << st.ToString()
-                      << "), failing over to standalone";
-    }
-    broken = true;
-    ServeChunkSharded(sched, fl.chunk);
-  };
-
-  // A frame just failed (send error, bad reply, or the pipeline stopped
-  // being viable): the back half is suspect, so the rest of the window is
-  // not trusted either. Deregister each outstanding seq — a late reply
-  // takes the bounded, counted stale-drop path instead of a permanent
-  // reply-buffer slot — and re-serve those rows through the standalone
-  // fan-out. Failover granularity stays the frame: rows never ride a
-  // reply from a peer that already misbehaved.
-  auto abandon_window = [&] {
-    if (inflight.empty()) return;
-    std::deque<Flight> orphans;
-    orphans.swap(inflight);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const Flight& fl : orphans) {
-        workers_[fl.worker].pending.erase(fl.seq);
-        workers_[fl.worker].reply_buffer.erase(fl.seq);
-      }
-    }
-    for (Flight& fl : orphans) ServeChunkSharded(sched, fl.chunk);
-  };
-
-  for (;;) {
-    // Refill the window: non-blocking grabs while frames are in flight (a
-    // refill must not stall the link), a short blocking grab only when
-    // the link sits idle. Everything gathered in one refill ships as one
-    // batched send — under backlog the whole window goes out together.
-    std::vector<BatchScheduler::WorkChunk> fresh;
-    while (!broken && !drained && inflight.size() + fresh.size() < window) {
-      BatchScheduler::WorkChunk chunk;
-      const auto wait = (inflight.empty() && fresh.empty())
-                            ? std::chrono::milliseconds(1)
-                            : std::chrono::milliseconds(0);
-      if (!sched.NextChunk(quantum, wait, chunk)) {
-        drained = true;
-        break;
-      }
-      fresh.push_back(std::move(chunk));
-    }
-    if (!fresh.empty()) ship_group(std::move(fresh));
-    if (broken) {
-      abandon_window();
-      return true;
-    }
-    if (inflight.empty()) return false;  // pool drained, window served out
-    await_oldest();
-    if (broken) {
-      abandon_window();
-      return true;
+bool MasterNode::LaunchFrame(BatchScheduler::WorkChunk& chunk) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ha_.broken || !HaViableLocked() ||
+      RemainingMs(chunk.deadline).count() == 0) {
+    return false;
+  }
+  const std::int64_t start_us = chunk.trace_id != 0 ? obs::NowUs() : 0;
+  const std::size_t w = plan_.back_worker;
+  core::Tensor storage;
+  const core::Tensor* stacked = StackChunk(chunk, storage);
+  core::Tensor cut = local_[plan_.pipeline_front].Forward(*stacked, false);
+  if (!storage.empty()) core::RecycleTensor(std::move(storage));
+  // The negotiated wire format of the back half: int8_wire ⇒ v3 frames.
+  const Deployment* back_dep = FindDeploymentLocked(w, plan_.pipeline_back);
+  const bool quant_cut = back_dep != nullptr && back_dep->quant.int8_wire;
+  const std::int64_t seq = next_seq_++;
+  Message frame;
+  if (quant_cut) {
+    frame = Message::WithQuantBatch(MsgType::kInfer, seq, plan_.pipeline_back,
+                                    quant::QuantizeTensor(cut));
+    core::RecycleTensor(std::move(cut));
+    ++stats_.quant_cut_frames;
+  } else {
+    frame = Message::WithBatch(MsgType::kInfer, seq, plan_.pipeline_back,
+                               std::move(cut));
+  }
+  // v4 SLO block: the frame advertises its most urgent member's class and
+  // remaining budget for per-class accounting downstream.
+  frame.SetSlo(static_cast<std::uint8_t>(chunk.top),
+               RemainingMs(chunk.urgent_deadline).count());
+  if (chunk.trace_id != 0) {
+    // master.chunk covers stack, front forward, quantize and frame build;
+    // it ends where the wire begins. The v6 stamp is taken right here, so
+    // the reply's round trip holds only link time and worker service.
+    auto& tracer = obs::Tracer::Global();
+    const std::int64_t sent_us = obs::NowUs();
+    tracer.Record(chunk.trace_id, tracer.NewSpanId(), chunk.trace_parent,
+                  "master.chunk", "master", start_us, sent_us - start_us);
+    if (workers_[w].trace_wire) {
+      frame.SetTrace(chunk.trace_id, chunk.trace_parent, sent_us);
     }
   }
+  workers_[w].pending.push_back(seq);
+  const core::Status st = SendLocked(w, frame);
+  RecycleMessage(std::move(frame));
+  if (!st.ok()) {
+    ForgetSeqLocked(w, seq);
+    ++stats_.failovers;
+    return false;
+  }
+  ++stats_.batches;
+  stats_.coalesced_samples += chunk.rows;
+  ha_.flights.push_back({seq, w, std::move(chunk)});
+  return true;
 }
 
 void MasterNode::ServeChunkSharded(BatchScheduler& sched,
@@ -692,10 +698,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServePipelineBatchLocked(
   // forever. Deregistering them routes late replies to the (bounded,
   // logged) stale-drop path instead.
   auto abandon_inflight = [&] {
-    for (const InFlight& fl : inflight) {
-      workers_[w].pending.erase(fl.seq);
-      workers_[w].reply_buffer.erase(fl.seq);
-    }
+    for (const InFlight& fl : inflight) ForgetSeqLocked(w, fl.seq);
     inflight.clear();
   };
 
@@ -749,7 +752,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServePipelineBatchLocked(
     if (!st.ok()) {
       // All-or-prefix: the whole group is suspect, none of it may be
       // awaited. Deregister before the caller abandons the older window.
-      for (const InFlight& fl : group_fl) workers_[w].pending.erase(fl.seq);
+      for (const InFlight& fl : group_fl) ForgetSeqLocked(w, fl.seq);
       group_fl.clear();
       return st;
     }
@@ -764,7 +767,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServePipelineBatchLocked(
         rows == n ? front.Forward(input, false)
                   : front.Forward(core::SliceAxis0(input, row0, rows), false);
     const std::int64_t seq = next_seq_++;
-    workers_[w].pending.insert(seq);
+    workers_[w].pending.push_back(seq);
     Message frame;
     if (quant_cut) {
       frame = Message::WithQuantBatch(MsgType::kInfer, seq,
@@ -789,7 +792,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServePipelineBatchLocked(
       if (auto st2 = await_oldest(); !st2.ok()) {
         // Unsent group frames must not leave their seqs pending either.
         for (Message& f : group) RecycleMessage(std::move(f));
-        for (const InFlight& fl : group_fl) workers_[w].pending.erase(fl.seq);
+        for (const InFlight& fl : group_fl) ForgetSeqLocked(w, fl.seq);
         abandon_inflight();
         return st2;
       }
@@ -825,8 +828,12 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServeShardedLocked(
   // so thread_local rather than a member keeps it race-free for free.
   thread_local std::vector<Target> targets;
   targets.clear();
-  const bool has_local = !plan_.master_standalone.empty() &&
-                         local_.count(plan_.master_standalone) != 0;
+  // Resolved once: the awaits below release mu_, and a plan change
+  // mid-batch must not send a failover shard to a different model.
+  const auto local_it = plan_.master_standalone.empty()
+                            ? local_.end()
+                            : local_.find(plan_.master_standalone);
+  const bool has_local = local_it != local_.end();
   if (has_local) targets.push_back({false, 0});
   if (!plan_.worker_standalone.empty()) {
     for (std::size_t w = 0; w < workers_.size(); ++w) {
@@ -879,7 +886,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServeShardedLocked(
                            : core::SliceAxis0(input, shard.row0, shard.rows);
   };
   auto local_forward = [&](const Shard& shard) {
-    nn::Sequential& model = local_[plan_.master_standalone];
+    nn::Sequential& model = local_it->second;
     return shard.rows == n
                ? model.Forward(input, false)
                : model.Forward(core::SliceAxis0(input, shard.row0, shard.rows),
@@ -928,7 +935,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServeShardedLocked(
       continue;
     }
     shard.seq = next_seq_++;
-    workers_[w].pending.insert(shard.seq);
+    workers_[w].pending.push_back(shard.seq);
     // The negotiated wire format of this worker's input shards: a
     // deployment ACKed with int8_input_wire speaks wire v5, so the shard
     // quantizes per-frame (absmax) and crosses the link at 4× fewer
@@ -982,8 +989,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServeShardedLocked(
   auto abandon_sent = [&] {
     for (const auto& shard : shards) {
       if (!shard.sent || shard.done) continue;
-      workers_[shard.target.worker].pending.erase(shard.seq);
-      workers_[shard.target.worker].reply_buffer.erase(shard.seq);
+      ForgetSeqLocked(shard.target.worker, shard.seq);
     }
   };
 
@@ -1127,14 +1133,163 @@ const MasterNode::Deployment* MasterNode::FindDeploymentLocked(
 }
 
 void MasterNode::MarkDeadLocked(std::size_t w, const core::Status& why) {
-  if (!workers_[w].alive) return;
-  workers_[w].alive = false;
-  alive_count_.fetch_sub(1, std::memory_order_relaxed);
-  workers_[w].pending.clear();
-  workers_[w].reply_buffer.clear();
+  WorkerHandle& handle = workers_[w];
+  if (!handle.alive && !handle.replaying) return;
+  if (handle.alive) alive_count_.fetch_sub(1, std::memory_order_relaxed);
+  handle.alive = false;
+  handle.replaying = false;
+  handle.pending.clear();
+  for (auto& filed : handle.replies) RecycleMessage(std::move(filed.second));
+  handle.replies.clear();
+  // Closing ends the receive path (its Recv fails); the thread is joined
+  // by ReattachWorker or the destructor — never here, under mu_, which
+  // the receive path takes to file a reply.
+  handle.transport->Close();
+  // HA frames on this link will never be answered: condemn the window.
+  if (std::any_of(ha_.flights.begin(), ha_.flights.end(),
+                  [w](const Flight& fl) { return fl.worker == w; })) {
+    ++stats_.failovers;
+    BreakWindowLocked();
+  }
+  reply_cv_.notify_all();
   FLUID_LOG(Warn) << "master: worker[" << w << "] ("
-                  << workers_[w].transport->Describe()
+                  << handle.transport->Describe()
                   << ") marked dead: " << why.ToString();
+}
+
+void MasterNode::ReceiveLoop(std::size_t w, Transport* link,
+                             std::uint64_t gen) {
+  // Blocks in Recv until a frame arrives or the link closes; the timeout
+  // only bounds one wait — an idle link simply waits again.
+  constexpr auto kIdleWait = std::chrono::hours(1);
+  for (;;) {
+    Message reply;
+    core::Status st = link->Recv(reply, kIdleWait);
+    if (st.code() == core::StatusCode::kDeadlineExceeded) continue;
+    bool parked = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      WorkerHandle& handle = workers_[w];
+      if (handle.link_gen != gen) {
+        // ReattachWorker swapped a new link in: this one is retired.
+        RecycleMessage(std::move(reply));
+        return;
+      }
+      if (st.ok()) {
+        try {
+          parked = FileReplyLocked(w, std::move(reply));
+        } catch (const std::exception& e) {
+          // Nothing in filing is expected to throw; if it does, this
+          // link fails (below) rather than the whole process.
+          st = core::Status::Internal(std::string("master: receive path: ") +
+                                      e.what());
+        }
+      }
+      if (!st.ok()) {
+        // Peer death or stream corruption. Anyone awaiting this link
+        // would conclude the same, so with answers outstanding the worker
+        // is condemned now; an idle link is found dead by its next use.
+        handle.link_down = true;
+        handle.link_error = st;
+        if (!handle.pending.empty()) MarkDeadLocked(w, st);
+        reply_cv_.notify_all();
+        return;
+      }
+    }
+    // Notified unlocked, so the awaiter wakes to a free mu_.
+    if (parked) reply_cv_.notify_all();
+  }
+}
+
+bool MasterNode::FileReplyLocked(std::size_t w, Message&& reply) {
+  WorkerHandle& handle = workers_[w];
+  if (reply.type == MsgType::kHello) {
+    handle.name = reply.tag;
+    return false;
+  }
+  if (std::find(handle.pending.begin(), handle.pending.end(), reply.seq) ==
+      handle.pending.end()) {
+    // Correlation id matches nothing in flight (or an RPC long
+    // abandoned): drop it loudly rather than mis-deliver.
+    ++stats_.stale_replies;
+    FLUID_LOG(Warn)
+            .With("event", "stale_reply")
+            .With("worker", w)
+            .With("seq", reply.seq)
+            .With("type", MsgTypeName(reply.type))
+        << "master: dropping stale reply";
+    RecycleMessage(std::move(reply));
+    return false;
+  }
+  for (std::size_t i = 0; i < ha_.flights.size(); ++i) {
+    if (ha_.flights[i].seq == reply.seq) {
+      RetireFlightLocked(i, std::move(reply));
+      return false;
+    }
+  }
+  const std::int64_t seq = reply.seq;
+  handle.replies.emplace_back(seq, std::move(reply));
+  return true;
+}
+
+void MasterNode::RetireFlightLocked(std::size_t index, Message&& reply) {
+  Flight& fl = ha_.flights[index];
+  const std::size_t w = fl.worker;
+  ForgetSeqLocked(w, fl.seq);
+  // Size against the config's class count, never the payload's own dims:
+  // a byzantine reply with the right row count but different trailing
+  // dims must fail over, not scribble past the request's logits.
+  if (!WellFormedResult(reply, fl.chunk.rows) ||
+      reply.payload.numel() != fl.chunk.rows * config_.num_classes) {
+    ++stats_.failovers;
+    FLUID_LOG(Warn) << "master: pipeline chunk failed (worker[" << w << "]: "
+                    << (reply.type == MsgType::kError
+                            ? "back half failed: " + reply.tag
+                            : std::string("malformed pipeline chunk result"))
+                    << "), failing over to standalone";
+    RecycleMessage(std::move(reply));
+    // Frame-granular failover: the back half is suspect, so the rest of
+    // the window is not trusted either — rows never ride a reply from a
+    // peer that already misbehaved.
+    BreakWindowLocked();
+    return;
+  }
+  stats_.served_pipeline += fl.chunk.rows;
+  RecordWireReply(reply, wire_ms_[static_cast<std::size_t>(fl.chunk.top)]);
+  // Resolve under mu_: the cached pipeline label is guarded by it, and
+  // the scheduler lock only ever nests inside mu_.
+  ha_.sched->CompleteChunk(fl.chunk, reply.payload, label_pipeline_);
+  RecycleMessage(std::move(reply));
+  // The drain thread needs this retirement only when the window was full
+  // (room to launch) or is now empty (nothing left to wait for — a
+  // stopping scheduler waits for exactly that); otherwise it is already
+  // waiting for work and the earliest deadline, so skip the wakeup.
+  const bool was_full = ha_.flights.size() >= ha_.window;
+  ha_.flights.erase(ha_.flights.begin() +
+                    static_cast<std::ptrdiff_t>(index));
+  if (was_full || ha_.flights.empty()) ha_.sched->Wake();
+}
+
+void MasterNode::BreakWindowLocked() {
+  for (Flight& fl : ha_.flights) {
+    ForgetSeqLocked(fl.worker, fl.seq);
+    ha_.failed.push_back(std::move(fl));
+  }
+  ha_.flights.clear();
+  ha_.broken = true;
+  if (ha_.sched != nullptr) ha_.sched->Wake();
+}
+
+void MasterNode::ForgetSeqLocked(std::size_t w, std::int64_t seq) {
+  WorkerHandle& handle = workers_[w];
+  std::erase(handle.pending, seq);
+  const auto it =
+      std::find_if(handle.replies.begin(), handle.replies.end(),
+                   [seq](const auto& filed) { return filed.first == seq; });
+  if (it != handle.replies.end()) {
+    RecycleMessage(std::move(it->second));
+    handle.replies.erase(it);
+  }
 }
 
 core::Status MasterNode::SendLocked(std::size_t w, const Message& msg) {
@@ -1153,13 +1308,13 @@ core::Status MasterNode::SendBatchLocked(std::size_t w,
 core::StatusOr<Message> MasterNode::RpcLocked(std::size_t w, Message msg,
                                               std::chrono::milliseconds timeout) {
   auto& handle = workers_[w];
-  if (!handle.alive) {
+  if (!handle.alive && !handle.replaying) {
     return core::Status::Unavailable("worker[" + std::to_string(w) + "] dead");
   }
   const auto deadline = Clock::now() + timeout;
   const std::int64_t seq = next_seq_++;
   msg.seq = seq;
-  handle.pending.insert(seq);
+  handle.pending.push_back(seq);
   auto st = handle.transport->Send(msg);
   // The frame is on the wire; its bulk payloads (e.g. a failover shard's
   // activations) cycle back to the pool before the reply wait.
@@ -1173,65 +1328,50 @@ core::StatusOr<Message> MasterNode::RpcLocked(std::size_t w, Message msg,
 
 core::StatusOr<Message> MasterNode::AwaitReplyLocked(
     std::size_t w, std::int64_t seq, Clock::time_point deadline) {
-  WorkerHandle& handle = workers_[w];
-  // A windowed peer may already have delivered it out of order.
-  if (const auto it = handle.reply_buffer.find(seq);
-      it != handle.reply_buffer.end()) {
-    Message reply = std::move(it->second);
-    handle.reply_buffer.erase(it);
-    handle.pending.erase(seq);
-    return reply;
-  }
-  if (!handle.alive) {
-    return core::Status::Unavailable("worker[" + std::to_string(w) + "] dead");
-  }
+  // A wait whose budget was spent before it began (an earlier shard
+  // consumed the shared batch deadline) fails the shard over without
+  // condemning a worker that never had a chance to answer.
+  const bool zero_window = RemainingMs(deadline).count() == 0;
+  const std::uint64_t gen = workers_[w].link_gen;
   for (;;) {
-    Message reply;
-    const auto wait = RemainingMs(deadline);
-    auto st = handle.transport->Recv(reply, wait);
-    if (!st.ok()) {
-      if (st.code() == core::StatusCode::kDeadlineExceeded &&
-          wait.count() == 0) {
-        // The shared batch budget was spent before this reply got any
-        // window (an earlier shard consumed it): fail the shard over, but
-        // don't condemn a worker that never had a chance to answer.
+    // Re-read every pass: mu_ is released while waiting.
+    WorkerHandle& handle = workers_[w];
+    if (handle.link_gen != gen || (!handle.alive && !handle.replaying)) {
+      return core::Status::Unavailable("worker[" + std::to_string(w) +
+                                       "] dead");
+    }
+    const auto it =
+        std::find_if(handle.replies.begin(), handle.replies.end(),
+                     [seq](const auto& filed) { return filed.first == seq; });
+    if (it != handle.replies.end()) {
+      Message reply = std::move(it->second);
+      handle.replies.erase(it);
+      std::erase(handle.pending, seq);
+      return reply;
+    }
+    if (handle.link_down) {
+      const core::Status st = handle.link_error;
+      MarkDeadLocked(w, st);
+      return st;
+    }
+    if (Clock::now() >= deadline) {
+      if (zero_window) {
         // Deregistering the seq routes its late reply to the counted
         // stale-drop path.
-        handle.pending.erase(seq);
-        handle.reply_buffer.erase(seq);
+        ForgetSeqLocked(w, seq);
         return core::Status::DeadlineExceeded(
             "master: deadline exhausted before worker[" + std::to_string(w) +
             "]'s reply could be awaited");
       }
-      // An in-window timeout, peer death and stream corruption all mean
-      // this worker cannot be trusted to answer: fail over rather than
-      // wait.
+      // An in-window timeout means this worker cannot be trusted to
+      // answer: fail over rather than wait.
+      const auto st = core::Status::DeadlineExceeded(
+          "master: worker[" + std::to_string(w) +
+          "] did not answer within the deadline");
       MarkDeadLocked(w, st);
       return st;
     }
-    if (reply.type == MsgType::kHello) {
-      handle.name = reply.tag;
-      continue;
-    }
-    if (reply.seq == seq) {
-      handle.pending.erase(seq);
-      return reply;
-    }
-    if (handle.pending.count(reply.seq) != 0) {
-      // A reply for another in-flight RPC on this link: park it for its
-      // awaiter instead of discarding it.
-      handle.reply_buffer[reply.seq] = std::move(reply);
-      continue;
-    }
-    // Correlation id matches nothing we sent (or an RPC long abandoned):
-    // drop it loudly rather than mis-deliver.
-    ++stats_.stale_replies;
-    FLUID_LOG(Warn)
-            .With("event", "stale_reply")
-            .With("worker", w)
-            .With("seq", reply.seq)
-            .With("type", MsgTypeName(reply.type))
-        << "master: dropping stale reply";
+    reply_cv_.wait_until(mu_, deadline);
   }
 }
 

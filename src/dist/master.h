@@ -39,19 +39,32 @@
 // never see a worker death. A crashed worker can later be revived with
 // ReattachWorker, which re-deploys everything it hosted.
 //
+// Data plane: every attached worker link has a receive path — one thread
+// that is the only caller of that transport's Recv. It decodes each
+// reply, stamps it and files it by seq under the serving-core lock, held
+// only for the filing. A good HA pipeline reply resolves its chunk right
+// there; every other reply (shards, deploy/heartbeat acks) wakes its
+// awaiter, which waits on a condition variable — so the core lock is
+// never held across a Recv, and probes, deploys and stats never queue
+// behind a link wait.
+//
 // Thread safety: the node is internally locked — InferAsync/Infer may be
 // called from any number of client threads while the orchestrator probes
-// and redeploys. One mutex serializes the serving core; concurrency comes
-// from batching, not from concurrent forwards.
+// and redeploys. One mutex serializes the serving core (released while a
+// caller waits for a reply); concurrency comes from batching and the
+// receive paths, not from concurrent forwards.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -220,16 +233,48 @@ class MasterNode {
 
   struct WorkerHandle {
     TransportPtr transport;
+    /// The link's receive path: the only caller of transport->Recv. Runs
+    /// until the link closes; joined by ReattachWorker and ~MasterNode
+    /// (never under mu_, which it takes to file replies).
+    std::thread receiver;
     std::string name;  // from its kHello, if seen
     bool alive = true;
+    /// ReattachWorker is replaying deployments onto a fresh link: RPCs
+    /// may use it, routing may not.
+    bool replaying = false;
     /// Send wire v6 traced frames on this link (see EnableTraceWire).
     bool trace_wire = false;
     std::vector<Deployment> deployments;
-    /// Correlation ids of RPCs currently in flight on this link.
-    std::set<std::int64_t> pending;
-    /// Replies that arrived for a pending seq other than the one being
-    /// awaited (out-of-order delivery under windowed sends).
-    std::map<std::int64_t, Message> reply_buffer;
+    /// Bumped whenever a transport is installed; an awaiter or receive
+    /// path that sees it move belongs to a replaced link.
+    std::uint64_t link_gen = 0;
+    /// The receive path ended (Recv failed); `link_error` says why.
+    bool link_down = false;
+    core::Status link_error = core::Status::Ok();
+    /// Correlation ids of RPCs/frames currently in flight on this link.
+    std::vector<std::int64_t> pending;
+    /// Replies filed by the receive path, waiting for their awaiter.
+    /// Flat and reused: filing a reply allocates nothing once warm.
+    std::vector<std::pair<std::int64_t, Message>> replies;
+  };
+
+  /// One HA cut-activation frame in flight: its seq, link and rows.
+  struct Flight {
+    std::int64_t seq = 0;
+    std::size_t worker = 0;
+    BatchScheduler::WorkChunk chunk;
+  };
+
+  /// The HA in-flight window, shared by the drain thread (launches frames,
+  /// runs failover) and the receive paths (retire replies). Guarded by
+  /// mu_; `sched` is set only while ServePipelineContinuous runs, which
+  /// does not return before every flight has retired or been reclaimed.
+  struct PipelineWindow {
+    BatchScheduler* sched = nullptr;
+    std::size_t window = 1;       // ha_window of the running loop
+    std::vector<Flight> flights;  // launch order
+    std::vector<Flight> failed;   // condemned frames awaiting failover
+    bool broken = false;          // stop launching, abandon the window
   };
 
   /// Attribution for one contiguous run of a batch's rows: every sample
@@ -250,7 +295,9 @@ class MasterNode {
     std::vector<Attribution> served_by;
   };
 
-  // All *Locked members require mu_ held.
+  // All *Locked members require mu_ held. Those that await a reply
+  // release it while they wait, so a caller must re-read shared state
+  // (workers_, plan_, local_) after one returns instead of caching it.
   core::StatusOr<Message> RpcLocked(std::size_t w, Message msg,
                                     std::chrono::milliseconds timeout);
   core::Status SendLocked(std::size_t w, const Message& msg);
@@ -258,15 +305,35 @@ class MasterNode {
   /// (Transport::SendBatch). Same failure semantics as SendLocked: any
   /// error marks the worker dead and the whole group is suspect.
   core::Status SendBatchLocked(std::size_t w, std::span<const Message> msgs);
-  /// Wait for the reply correlated to `seq`; replies for other pending
-  /// seqs are buffered, replies matching nothing are dropped and logged.
+  /// Wait for the reply correlated to `seq` to be filed by the receive
+  /// path. A wait that runs its window out condemns the worker; one whose
+  /// deadline was already spent on entry does not.
   core::StatusOr<Message> AwaitReplyLocked(
       std::size_t w, std::int64_t seq,
       std::chrono::steady_clock::time_point deadline);
+  /// Drop `seq` from the link's pending set and any filed reply, so a
+  /// late answer takes the counted stale-drop path.
+  void ForgetSeqLocked(std::size_t w, std::int64_t seq);
   bool WorkerHasDeploymentLocked(std::size_t w, const std::string& name) const;
   const Deployment* FindDeploymentLocked(std::size_t w,
                                          const std::string& name) const;
+  /// Take the worker out of routing and close its link (which ends its
+  /// receive path; the thread is joined later, outside mu_). Fails any
+  /// HA frames in flight on it over to the drain thread.
   void MarkDeadLocked(std::size_t w, const core::Status& why);
+
+  /// Install `transport` on slot `w` and start its receive path.
+  void StartLinkLocked(std::size_t w, TransportPtr transport);
+  /// Receive path body for slot `w`'s link generation `gen`.
+  void ReceiveLoop(std::size_t w, Transport* link, std::uint64_t gen);
+  /// Route one decoded frame from worker `w` to its flight or awaiter.
+  /// True when it was parked for an awaiter (who then needs a notify).
+  bool FileReplyLocked(std::size_t w, Message&& reply);
+  /// Retire HA flight `index` with `reply` (receive path).
+  void RetireFlightLocked(std::size_t index, Message&& reply);
+  /// Condemn the whole HA window: move every flight to `failed` with its
+  /// seq forgotten, and wake the drain thread to fail them over.
+  void BreakWindowLocked();
 
   /// True while the HA pipeline can serve: HA mode, pipeline roles
   /// planned, the back worker alive and the front resident locally.
@@ -294,10 +361,16 @@ class MasterNode {
   /// each by mode, until the pool has nothing schedulable.
   void ServeActive(BatchScheduler& sched);
   /// Iteration-level HA serving: ha_chunk frames as scheduling quanta
-  /// sharing the ha_window in-flight window. Returns false when the pool
-  /// drained (return to the drain loop), true when the pipeline broke or
-  /// the mode changed (caller re-checks and re-routes).
+  /// sharing the ha_window in-flight window. Launches whatever fits the
+  /// window, lets the receive path retire replies in completion order,
+  /// and fails broken frames over. Returns false when the pool drained
+  /// (return to the drain loop), true when the pipeline broke or the mode
+  /// changed (caller re-checks and re-routes).
   bool ServePipelineContinuous(BatchScheduler& sched);
+  /// Front forward + quantize + send of one chunk as an HA frame. False
+  /// (with the chunk handed back in `chunk`) when the pipeline cannot
+  /// take it; a send failure breaks the window.
+  bool LaunchFrame(BatchScheduler::WorkChunk& chunk);
   /// Serve one chunk via the standalone fan-out (HT mode and the
   /// failover target for broken pipeline frames) and resolve its rows.
   void ServeChunkSharded(BatchScheduler& sched,
@@ -314,7 +387,14 @@ class MasterNode {
   slim::FluidNetConfig config_;
 
   mutable std::mutex mu_;  // guards everything below
-  std::vector<WorkerHandle> workers_;
+  /// Signalled when a receive path files a reply or a link goes down.
+  /// condition_variable_any so awaiters can wait on mu_ as held by their
+  /// caller's lock_guard.
+  std::condition_variable_any reply_cv_;
+  /// A deque: handles keep their address when a worker is attached while
+  /// a receive path or an awaiter holds a reference.
+  std::deque<WorkerHandle> workers_;
+  PipelineWindow ha_;
   std::map<std::string, nn::Sequential> local_;
   Plan plan_;
   sim::Mode mode_ = sim::Mode::kHighAccuracy;
@@ -326,7 +406,7 @@ class MasterNode {
   /// rebuilt on SetPlan/AttachWorker instead of concatenated per shard.
   std::string label_local_;
   std::string label_pipeline_;
-  std::vector<std::string> label_worker_;
+  std::deque<std::string> label_worker_;  // stable addresses on growth
 
   /// Guards scheduler start/stop; never held while serving (the scheduler
   /// thread takes mu_, and StopServing joins that thread) nor across

@@ -250,6 +250,9 @@ bool BatchScheduler::NextChunk(std::size_t max_samples,
   chunk.trace_parent = 0;
   FLUID_CHECK_MSG(max_samples >= 1, "NextChunk: max_samples < 1");
   std::unique_lock<std::mutex> lock(mu_);
+  // A non-blocking grab of an empty pool answers without a timed wait
+  // (the event-driven HA loop makes one after every launch).
+  if (wait.count() <= 0 && !stop_ && !HasBacklogLocked()) return false;
   if (!cv_.wait_until(lock, Clock::now() + wait,
                       [&] { return stop_ || HasBacklogLocked(); })) {
     return false;  // waited out an empty pool
@@ -429,6 +432,22 @@ void BatchScheduler::FailChunk(const WorkChunk& chunk,
     req->resolved_rows += slice.rows;
     if (req->resolved_rows >= req->samples) FinalizeLocked(req);
   }
+}
+
+void BatchScheduler::AwaitEvent(bool want_work, Clock::time_point until) {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait_until(lock, until, [&] {
+    return woken_ || (want_work && !stop_ && HasBacklogLocked());
+  });
+  woken_ = false;
+}
+
+void BatchScheduler::Wake() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    woken_ = true;
+  }
+  cv_.notify_one();
 }
 
 void BatchScheduler::ResolveRowsLocked(Request* req, std::int64_t row0,

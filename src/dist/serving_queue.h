@@ -28,9 +28,11 @@
 // Contract with the serve callback: it runs on the drain thread and pulls
 // work via NextChunk(); for every chunk it takes it must eventually call
 // CompleteRows/CompleteChunk (success) or FailChunk (failure) for every
-// row, before returning. Rows it leaves unresolved are failed by Stop().
-// The scheduler owns the requests throughout — the callback only ever
-// sees slices and resolves them.
+// row, before returning. Those resolution calls may come from any thread
+// (a master resolves pipeline frames on its link receive path) as long as
+// the callback has not yet returned. Rows it leaves unresolved are failed
+// by Stop(). The scheduler owns the requests throughout — the callback
+// only ever sees slices and resolves them.
 
 #include <atomic>
 #include <chrono>
@@ -282,6 +284,16 @@ class BatchScheduler {
   /// with any failed row fails as a whole once its last row resolves.
   void FailChunk(const WorkChunk& chunk, const core::Status& status);
 
+  /// Event wait for a callback that keeps frames in flight: block until
+  /// Wake() is called, `until` passes, or — when `want_work` — the pool
+  /// has schedulable rows. Stop() alone does not end the wait: the
+  /// callback still has to retire what it has in flight.
+  void AwaitEvent(bool want_work, std::chrono::steady_clock::time_point until);
+
+  /// End a pending AwaitEvent (or make the next one return at once).
+  /// Callable from any thread.
+  void Wake();
+
  private:
   void DrainLoop();
   /// Fail + finalize every request still in the pool (ready or running).
@@ -310,6 +322,7 @@ class BatchScheduler {
   std::list<Request> service_;
   std::int64_t backlog_rows_ = 0;  // rows not yet assembled into any chunk
   bool stop_ = false;
+  bool woken_ = false;  // Wake() since the last AwaitEvent returned
   std::atomic<bool> running_{false};
 
   // Stats (guarded by mu_).

@@ -556,8 +556,13 @@ class TcpTransport final : public Transport {
     return core::Status::Ok();
   }
 
+  // Full duplex (transport.h): the receive state (rx_*) and the send
+  // scratch below are touched only by the one receiver and the one
+  // sender respectively; what both sides share — the closed flag and the
+  // wire counters — is atomic, so Send, Recv, Close and wire_stats() may
+  // run on different threads.
   const int fd_;
-  std::string peer_;
+  const std::string peer_;
   std::atomic<bool> closed_{false};
   std::vector<std::uint8_t> rx_;  // partial-frame / prelude accumulator
   // Streaming decode state; survives across Recv deadline returns.

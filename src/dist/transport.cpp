@@ -22,7 +22,9 @@ using SteadyClock = std::chrono::steady_clock;
 // charges latency + serialisation onto a per-direction serial link.
 struct PairState {
   std::mutex mu;
-  std::condition_variable cv;
+  // cv[i]: a frame for end i was queued, or either end closed. One per
+  // direction, so a send wakes only the receiver it is addressed to.
+  std::condition_variable cv[2];
   struct Frame {
     std::vector<std::uint8_t> bytes;
     SteadyClock::time_point ready;
@@ -61,7 +63,7 @@ class InMemoryTransport final : public Transport {
       EncodeMessageInto(msg, bytes);
       frames.push_back({std::move(bytes), {}});
     }
-    std::lock_guard<std::mutex> lock(state_->mu);
+    std::unique_lock<std::mutex> lock(state_->mu);
     auto recycle = [&] {
       for (auto& f : frames) core::PoolPut(std::move(f.bytes));
       frames.clear();
@@ -86,6 +88,10 @@ class InMemoryTransport final : public Transport {
     const auto start = std::max(now, state_->link_free[dir]);
     std::chrono::duration<double> cumulative{0.0};
     WireStats& st = state_->stats[side_];
+    // The receiver sleeps on an empty inbox, or until the inbox's front
+    // frame lands — never earlier than anything queued behind it. So only
+    // a send into an empty inbox needs to wake it.
+    const bool wake = state_->queue[1 - side_].empty();
     for (auto& f : frames) {
       auto ready = now;
       if (emulated) {
@@ -108,7 +114,8 @@ class InMemoryTransport final : public Transport {
           start + std::chrono::duration_cast<SteadyClock::duration>(cumulative);
     }
     if (msgs.size() > 1) ++st.batched_sends;
-    state_->cv.notify_all();
+    lock.unlock();  // notify unlocked: the receiver wakes to a free mutex
+    if (wake) state_->cv[1 - side_].notify_all();
     return core::Status::Ok();
   }
 
@@ -117,10 +124,23 @@ class InMemoryTransport final : public Transport {
     auto& inbox = state_->queue[side_];
     const auto deadline = SteadyClock::now() + timeout;
     for (;;) {
-      state_->cv.wait_until(lock, deadline, [&] {
+      // A zero-timeout poll of an empty open inbox answers without
+      // touching the condition variable (no futex round trip).
+      if (timeout.count() <= 0 && inbox.empty() && !state_->end_closed[0] &&
+          !state_->end_closed[1]) {
+        return core::Status::DeadlineExceeded(
+            "in-memory transport: Recv timeout");
+      }
+      state_->cv[side_].wait_until(lock, deadline, [&] {
         return !inbox.empty() || state_->end_closed[side_] ||
                state_->end_closed[1 - side_];
       });
+      // An endpoint closed on this side stops at once (like TCP's
+      // shutdown), so a receive thread woken by Close exits promptly.
+      if (state_->end_closed[side_]) {
+        return core::Status::Unavailable(
+            "in-memory transport: endpoint closed");
+      }
       // Buffered frames still deliver after the peer closed — a graceful
       // close must not drop in-flight replies. A frame still "on the
       // link" (ready in the future) is not visible yet; wait for it, but
@@ -128,15 +148,15 @@ class InMemoryTransport final : public Transport {
       if (!inbox.empty()) {
         const auto now = SteadyClock::now();
         if (inbox.front().ready > now) {
-          if (inbox.front().ready >= deadline) {
-            if (now >= deadline) {
-              return core::Status::DeadlineExceeded(
-                  "in-memory transport: Recv timeout");
-            }
-            state_->cv.wait_until(lock, deadline, [] { return false; });
-            continue;
+          if (now >= deadline) {
+            return core::Status::DeadlineExceeded(
+                "in-memory transport: Recv timeout");
           }
-          state_->cv.wait_until(lock, inbox.front().ready, [] { return false; });
+          // Later frames land no earlier than this one (the link is
+          // serial), so only this endpoint's own Close cuts the wait.
+          state_->cv[side_].wait_until(
+              lock, std::min(inbox.front().ready, deadline),
+              [&] { return state_->end_closed[side_]; });
           continue;
         }
         auto bytes = std::move(inbox.front().bytes);
@@ -162,7 +182,8 @@ class InMemoryTransport final : public Transport {
   void Close() override {
     std::lock_guard<std::mutex> lock(state_->mu);
     state_->end_closed[side_] = true;
-    state_->cv.notify_all();
+    state_->cv[0].notify_all();
+    state_->cv[1].notify_all();
   }
 
   bool closed() const override {

@@ -9,6 +9,16 @@
 // are the in-memory pair below (tests, single-process benches) and the
 // TCP transport in dist/tcp_transport.h (real deployments).
 //
+// Concurrency contract (full duplex): one sender and one receiver may run
+// on an endpoint at the same time — a thread blocked in Recv must not
+// stop another thread's Send/SendBatch, and neither call may race the
+// other's state. Close() and closed() may be called from any thread and
+// wake a blocked Recv; wire_stats() may be read from any thread while
+// traffic flows. Two concurrent senders (or two receivers) on one
+// endpoint are NOT supported — callers serialize those themselves (the
+// master sends under its serving-core lock; its per-link receive path is
+// the endpoint's only receiver).
+//
 // Failure taxonomy every implementation honours:
 //   kDeadlineExceeded — nothing arrived within the Recv timeout;
 //                       the connection is still usable.
@@ -81,8 +91,9 @@ class Transport {
   /// count return zeros.
   virtual WireStats wire_stats() const { return {}; }
 
-  /// Idempotent. After Close, the peer's Recv drains buffered frames and
-  /// then reports kUnavailable.
+  /// Idempotent; wakes a Recv blocked on this endpoint, which reports
+  /// kUnavailable. After Close, the peer's Recv drains buffered frames
+  /// and then reports kUnavailable.
   virtual void Close() = 0;
 
   /// True once this endpoint can no longer exchange frames.

@@ -6,6 +6,39 @@
 
 namespace fluid::nn {
 
+namespace {
+
+// Every window starts from this floor and keeps a value only when it
+// compares greater, so NaNs and values at or below it never win.
+constexpr float kFloor = -3.4e38F;
+
+void Pool2x2(const float* in, std::int64_t planes, std::int64_t height,
+             std::int64_t width, float* out) {
+  // Straight-line 2x2 windows over a row pair: the same four loads in the
+  // same order, each kept only when `v > best` from the same floor, so a
+  // NaN, a tie or a value below the floor resolves exactly as in the
+  // generic loop. Floor division drops an odd last row and column.
+  const std::int64_t out_h = height / 2;
+  const std::int64_t out_w = width / 2;
+  for (std::int64_t p = 0; p < planes; ++p) {
+    const float* plane = in + p * height * width;
+    for (std::int64_t oy = 0; oy < out_h; ++oy) {
+      const float* r0 = plane + 2 * oy * width;
+      const float* r1 = r0 + width;
+      for (std::int64_t ox = 0; ox < out_w; ++ox) {
+        float best = kFloor;
+        best = r0[2 * ox] > best ? r0[2 * ox] : best;
+        best = r0[2 * ox + 1] > best ? r0[2 * ox + 1] : best;
+        best = r1[2 * ox] > best ? r1[2 * ox] : best;
+        best = r1[2 * ox + 1] > best ? r1[2 * ox + 1] : best;
+        *out++ = best;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 MaxPool2d::MaxPool2d(std::int64_t window) : window_(window) {
   FLUID_CHECK_MSG(window > 0, "MaxPool2d window must be positive");
 }
@@ -21,6 +54,11 @@ core::Tensor MaxPool2d::Forward(const core::Tensor& input, bool training) {
                   "MaxPool2d window larger than input");
 
   core::Tensor output = core::AcquireTensor({batch, channels, out_h, out_w});
+  if (!training && window_ == 2) {
+    Pool2x2(input.data().data(), batch * channels, height, width,
+            output.data().data());
+    return output;
+  }
   // The argmax indices exist only for Backward; inference skips the
   // whole side buffer (it was an allocation per serve-path call).
   if (training) {
@@ -36,7 +74,7 @@ core::Tensor MaxPool2d::Forward(const core::Tensor& input, bool training) {
       const std::int64_t plane = (n * channels + c) * height * width;
       for (std::int64_t oy = 0; oy < out_h; ++oy) {
         for (std::int64_t ox = 0; ox < out_w; ++ox, ++o) {
-          float best = -3.4e38F;
+          float best = kFloor;
           std::int64_t best_idx = -1;
           for (std::int64_t wy = 0; wy < window_; ++wy) {
             const std::int64_t iy = oy * window_ + wy;

@@ -1252,11 +1252,20 @@ TEST(ByzantineWorkerTest, MisconfiguredLocalHeadAbandonsInFlightShards) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), core::StatusCode::kInternal);
 
-  // The link stays healthy; the heartbeat drains the abandoned shard's
-  // reply as a counted stale drop instead of leaking it.
+  // The link stays healthy, and the abandoned shard's reply is a counted
+  // stale drop instead of a leak. The receive path drops it whenever it
+  // lands: the worker serves control frames first, so when the heartbeat
+  // reaches its queue before it picked up the shard, the ack overtakes
+  // the shard's reply — allow that reply a bounded while to arrive.
   EXPECT_EQ(master.ProbeWorkers(), 1u);
   EXPECT_TRUE(master.WorkerAlive(0));
+  const auto give_up = std::chrono::steady_clock::now() + 2s;
+  while (master.stats().stale_replies < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
   EXPECT_GE(master.stats().stale_replies, 1);
+  EXPECT_TRUE(master.WorkerAlive(0));
   worker->Stop();
 }
 

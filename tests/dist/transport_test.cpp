@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -486,6 +487,102 @@ TEST(TcpTransportTest, AcceptTimesOutWithStatus) {
 TEST(TcpTransportTest, BadAddressIsInvalidArgument) {
   auto client = TcpConnect("not-an-ip", 1, 100ms);
   EXPECT_EQ(client.status().code(), core::StatusCode::kInvalidArgument);
+}
+
+// ---- full-duplex contract ---------------------------------------------------
+// One sender thread and one receiver thread on the same endpoint, with
+// wire_stats()/closed() read from a third, while the peer echoes every
+// frame back; then a Close from yet another thread wakes a blocked Recv.
+// The frames are large enough to take TCP's streaming decode path. The
+// dist suite runs under ThreadSanitizer in CI, which is what checks the
+// "may run concurrently" half of the contract.
+
+void ExerciseFullDuplex(Transport& near, Transport& far) {
+  constexpr int kFrames = 120;
+  auto payload = [](int i) {
+    core::Rng rng(static_cast<std::uint64_t>(i) + 1);
+    return core::Tensor::UniformRandom({2, 3, 28, 28}, rng, -1, 1);
+  };
+  std::thread echo([&far] {
+    for (int i = 0; i < kFrames; ++i) {
+      Message msg;
+      if (!far.Recv(msg, 5000ms).ok()) return;
+      msg.type = MsgType::kResult;
+      if (!far.Send(msg).ok()) return;
+    }
+  });
+  int received = 0;
+  std::thread receiver([&] {
+    for (; received < kFrames; ++received) {
+      Message got;
+      const core::Status st = near.Recv(got, 5000ms);
+      if (!st.ok()) {
+        ADD_FAILURE() << "Recv: " << st.ToString();
+        return;
+      }
+      EXPECT_EQ(got.seq, received);
+      EXPECT_EQ(core::MaxAbsDiff(got.payload, payload(received)), 0.0F);
+    }
+  });
+  std::atomic<bool> done{false};
+  std::thread observer([&] {
+    while (!done.load()) {
+      const WireStats ws = near.wire_stats();
+      EXPECT_LE(ws.frames_recv, ws.frames_sent);
+      EXPECT_FALSE(near.closed());
+      std::this_thread::sleep_for(200us);
+    }
+  });
+  for (int i = 0; i < kFrames; ++i) {
+    const core::Status st =
+        near.Send(Message::WithTensor(MsgType::kInfer, i, "duplex", payload(i)));
+    if (!st.ok()) {
+      ADD_FAILURE() << "Send: " << st.ToString();
+      break;
+    }
+  }
+  receiver.join();
+  echo.join();
+  done = true;
+  observer.join();
+  EXPECT_EQ(received, kFrames);
+  const WireStats ws = near.wire_stats();
+  EXPECT_EQ(ws.frames_sent, kFrames);
+  EXPECT_EQ(ws.frames_recv, kFrames);
+
+  std::thread closer([&near] {
+    std::this_thread::sleep_for(20ms);
+    near.Close();
+  });
+  Message got;
+  EXPECT_EQ(near.Recv(got, 5s).code(), core::StatusCode::kUnavailable);
+  closer.join();
+  EXPECT_TRUE(near.closed());
+}
+
+TEST(FullDuplexTransportTest, ConcurrentSendAndRecvOverLoopbackTcp) {
+  auto pair = MakeTcpPair();
+  ASSERT_NE(pair.client, nullptr);
+  ASSERT_NE(pair.server, nullptr);
+  ExerciseFullDuplex(*pair.client, *pair.server);
+}
+
+TEST(FullDuplexTransportTest, ConcurrentSendAndRecvOverTheEmulatedLink) {
+  auto [a, b] = MakeEmulatedLinkPair(std::chrono::duration<double>(2e-3),
+                                     100e6 / 8.0);
+  ExerciseFullDuplex(*a, *b);
+}
+
+TEST(FullDuplexTransportTest, OwnCloseEndsRecvEvenWithFramesBuffered) {
+  // A receive thread woken by its own endpoint's Close must exit at once,
+  // not first drain frames still in flight on the link.
+  auto [a, b] = MakeEmulatedLinkPair(std::chrono::duration<double>(0.5), 0.0);
+  ASSERT_TRUE(b->Send(Message::HeaderOnly(MsgType::kAck, 1)).ok());
+  a->Close();
+  Message got;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(a->Recv(got, 5s).code(), core::StatusCode::kUnavailable);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 250ms);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include "quant/quantize.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,97 @@
 
 namespace fluid::quant {
 namespace {
+
+// The plain scalar definition QuantizeTensor must reproduce bit for bit:
+// absmax with NaN ignored, the denormal-scale clamp, then QuantizeValue.
+QuantizedTensor ScalarReference(const core::Tensor& t, float scale) {
+  QuantizedTensor q;
+  q.shape = t.shape();
+  if (scale <= 0.0F) {
+    float m = 0.0F;
+    for (const float v : t.data()) {
+      const float a = std::fabs(v);
+      if (a > m) m = a;
+    }
+    scale = m == 0.0F
+                ? 1.0F
+                : std::max(m / kQMax, std::numeric_limits<float>::min());
+  }
+  q.scale = scale;
+  const float inv = 1.0F / scale;
+  for (const float v : t.data()) q.data.push_back(QuantizeValue(v, inv));
+  return q;
+}
+
+void ExpectBitwiseEqual(const QuantizedTensor& got, const QuantizedTensor& want,
+                        std::int64_t n) {
+  std::uint32_t got_bits = 0, want_bits = 0;
+  std::memcpy(&got_bits, &got.scale, sizeof(float));
+  std::memcpy(&want_bits, &want.scale, sizeof(float));
+  EXPECT_EQ(got_bits, want_bits) << "scale, n=" << n;
+  ASSERT_EQ(got.data.size(), want.data.size());
+  for (std::size_t i = 0; i < want.data.size(); ++i) {
+    ASSERT_EQ(got.data[i], want.data[i]) << "element " << i << " of " << n;
+  }
+}
+
+TEST(QuantizeTest, VectorPathMatchesScalarReferenceBitwise) {
+  // Random values with every special sprinkled in — NaN, ±inf, ±0,
+  // denormals, the float extremes, values past the rails — over sizes
+  // that exercise the vector body, its scalar tail and the parallel
+  // grain boundary.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            inf,
+                            -inf,
+                            0.0F,
+                            -0.0F,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::lowest(),
+                            std::numeric_limits<float>::min()};
+  core::Rng rng(77);
+  const std::int64_t sizes[] = {1, 7, 31, 32, 33, 95, 4096 + 13, 25088};
+  for (const std::int64_t n : sizes) {
+    for (int round = 0; round < 4; ++round) {
+      core::Tensor t = core::Tensor::UniformRandom({n}, rng, -5.0F, 5.0F);
+      auto d = t.data();
+      // round 0: finite only; 1: sparse specials; 2: dense specials;
+      // 3: a single infinity (scale becomes inf, every code 0 or NaN→0).
+      for (std::size_t i = 0; i < d.size(); ++i) {
+        const auto pick = rng.NextU64() % (round == 2 ? 12 : 200);
+        if (round != 0 && round != 3 && pick < std::size(specials)) {
+          d[i] = specials[pick];
+        }
+      }
+      if (round == 3) d[d.size() / 2] = inf;
+      ExpectBitwiseEqual(QuantizeTensor(t), ScalarReference(t, 0.0F), n);
+    }
+  }
+}
+
+TEST(QuantizeTest, VectorPathRoundsTiesToEvenAndClampsLikeScalar) {
+  // Scale 1: every half-integer in [-140, 140] is an exact tie, and the
+  // ends run past both ±127 rails.
+  std::vector<float> values;
+  for (float v = -140.0F; v <= 140.0F; v += 0.25F) values.push_back(v);
+  core::Tensor t(core::Shape{static_cast<std::int64_t>(values.size())},
+                 values);
+  const QuantizedTensor got = QuantizeTensor(t, 1.0F);
+  ExpectBitwiseEqual(got, ScalarReference(t, 1.0F), t.numel());
+  // Spot checks of the semantics themselves.
+  auto code_of = [&](float v) {
+    const auto it = std::find(values.begin(), values.end(), v);
+    return got.data[static_cast<std::size_t>(it - values.begin())];
+  };
+  EXPECT_EQ(code_of(2.5F), 2);
+  EXPECT_EQ(code_of(3.5F), 4);
+  EXPECT_EQ(code_of(-2.5F), -2);
+  EXPECT_EQ(code_of(127.5F), 127);
+  EXPECT_EQ(code_of(-139.0F), -127);
+}
 
 TEST(QuantizeTest, RoundTripErrorBoundedByHalfScale) {
   core::Rng rng(11);
