@@ -4,12 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/buffer_pool.h"
 #include "core/gemm.h"
 #include "core/qgemm.h"
 #include "core/rng.h"
 #include "dist/message.h"
 #include "nn/checkpoint.h"
+#include "nn/compiled_net.h"
 #include "nn/conv2d.h"
+#include "nn/dense.h"
 #include "slim/fluid_model.h"
 #include "slim/partitioned.h"
 #include "train/model_zoo.h"
@@ -127,6 +130,91 @@ void BM_ExtractedSubnetForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtractedSubnetForward);
+
+// The served subnets, layer by layer: the HA halves of the combined model
+// cut after stage 1 (the servebench cut) and the master's lower-50% slice.
+// range(0): 0 = ha_front, 1 = ha_back, 2 = lower50; range(1): batch.
+struct ServedNet {
+  const char* name;
+  nn::Sequential model;
+  core::Tensor input;  // one batch of range(1) rows
+  double flops_per_row = 0;
+};
+
+ServedNet MakeServedNet(std::int64_t which, std::int64_t batch) {
+  static slim::FluidModel fluid = slim::FluidModel::PaperDefault(8);
+  const auto& family = fluid.family();
+  const std::int64_t width = family.max_width();
+  core::Rng rng(9);
+  ServedNet net;
+  core::Tensor images =
+      core::Tensor::UniformRandom({batch, 1, 28, 28}, rng, 0, 1);
+  if (which == 2) {
+    net.name = "lower50";
+    net.model = fluid.ExtractSubnet(family.MasterResident());
+    net.input = images;
+  } else {
+    nn::Sequential full = fluid.ExtractSubnet(family.Combined());
+    auto halves = train::SplitConvNet(fluid.config(), width, full, 1);
+    net.name = which == 0 ? "ha_front" : "ha_back";
+    net.input = which == 0 ? images : halves.front.Forward(images, false);
+    net.model = which == 0 ? std::move(halves.front) : std::move(halves.back);
+  }
+  // FLOPs from the shapes each layer produces: 2·patch per conv output
+  // element, 2·in per dense output element.
+  core::Tensor x = net.input;
+  for (const auto& layer : net.model.layers()) {
+    core::Tensor y = layer->Forward(x, false);
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(layer.get())) {
+      net.flops_per_row += 2.0 * static_cast<double>(
+          conv->in_channels() * conv->kernel() * conv->kernel() * y.numel());
+    } else if (const auto* dense = dynamic_cast<const nn::Dense*>(layer.get())) {
+      net.flops_per_row +=
+          2.0 * static_cast<double>(dense->in_features() * y.numel());
+    }
+    x = std::move(y);
+  }
+  net.flops_per_row /= static_cast<double>(batch);
+  return net;
+}
+
+// items_per_second is GF/s (compare with BM_Gemm in the same run);
+// per_row is the forward time divided by the batch, in seconds.
+void ReportPerRow(benchmark::State& state, const ServedNet& net) {
+  const std::int64_t batch = state.range(1);
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      static_cast<double>(state.iterations() * batch) * net.flops_per_row));
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(batch),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetLabel(net.name);
+}
+
+void BM_CompiledNetForward(benchmark::State& state) {
+  ServedNet net = MakeServedNet(state.range(0), state.range(1));
+  nn::CompiledNet plan(std::move(net.model));
+  for (auto _ : state) {
+    core::Tensor out = plan.Forward(net.input);
+    benchmark::DoNotOptimize(out.data().data());
+    core::RecycleTensor(std::move(out));
+  }
+  ReportPerRow(state, net);
+}
+BENCHMARK(BM_CompiledNetForward)->ArgsProduct({{0, 1, 2}, {1, 8, 32}});
+
+// The same nets through Sequential::Forward (the layer-by-layer path the
+// plans replace), for a before/after within one run.
+void BM_SequentialServedForward(benchmark::State& state) {
+  ServedNet net = MakeServedNet(state.range(0), state.range(1));
+  for (auto _ : state) {
+    core::Tensor out = net.model.Forward(net.input, false);
+    benchmark::DoNotOptimize(out.data().data());
+    core::RecycleTensor(std::move(out));
+  }
+  ReportPerRow(state, net);
+}
+BENCHMARK(BM_SequentialServedForward)->ArgsProduct({{0, 1, 2}, {1, 8, 32}});
 
 void BM_PartitionedHaForward(benchmark::State& state) {
   static slim::FluidModel model = slim::FluidModel::PaperDefault(7);

@@ -39,8 +39,9 @@
 #                            previously recorded section carries over)
 #
 # Usage: scripts/run_bench.sh [extra google-benchmark args...]
-# Honours FLUID_NUM_THREADS; by default records a single-thread run plus a
-# FLUID_NUM_THREADS=4 run in one file.
+# Records a single-thread run (FLUID_NUM_THREADS=1): the serving hosts
+# this benchmarks are single-core, and a multi-thread section recorded on
+# a one-CPU runner measures oversubscription, not scaling.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -78,29 +79,28 @@ if [[ ! -x "${build_dir}/micro_ops" ]]; then
   exit 1
 fi
 
-filter='BM_Gemm|BM_QGemmInt8|BM_Conv2dForward'
-tmp1="$(mktemp)" tmp4="$(mktemp)" merged=""
-trap 'rm -f "${tmp1}" "${tmp4}" ${merged:+"${merged}"}' EXIT
+# The served nets layer by layer (compiled plan vs Sequential, µs per row
+# and GF/s) next to the GEMM peak of the same run.
+filter='BM_Gemm|BM_QGemmInt8|BM_Conv2dForward|BM_SubnetForward|BM_CompiledNetForward|BM_SequentialServedForward'
+tmp1="$(mktemp)" merged=""
+trap 'rm -f "${tmp1}" ${merged:+"${merged}"}' EXIT
 
 FLUID_NUM_THREADS=1 "${build_dir}/micro_ops" \
   --benchmark_filter="${filter}" --benchmark_format=json "$@" > "${tmp1}"
-FLUID_NUM_THREADS=4 "${build_dir}/micro_ops" \
-  --benchmark_filter="${filter}" --benchmark_format=json "$@" > "${tmp4}"
 
 # Merge into a temp file and move into place only on success, so a failed
 # run never truncates the tracked baseline.
 merged="$(mktemp)"
-python3 - "${tmp1}" "${tmp4}" "${configured_type}" > "${merged}" <<'EOF'
+python3 - "${tmp1}" "${configured_type}" > "${merged}" <<'EOF'
 import json, sys
-one, four = (json.load(open(p)) for p in sys.argv[1:3])
+one = json.load(open(sys.argv[1]))
 ctx = one["context"]
 # The verified build type of THIS library (context.library_build_type is
 # the system google-benchmark package's own, which we don't control).
-ctx["cmake_build_type"] = sys.argv[3]
+ctx["cmake_build_type"] = sys.argv[2]
 json.dump({
     "context": ctx,
     "threads_1": one["benchmarks"],
-    "threads_4": four["benchmarks"],
 }, sys.stdout, indent=1)
 EOF
 mv "${merged}" "${repo_root}/BENCH_gemm.json"
@@ -113,7 +113,7 @@ if ! cmake --build "${build_dir}" -j "$(nproc)" --target fig2_throughput; then
   exit 1
 fi
 serving_tmp="$(mktemp)" ha_tmp="$(mktemp)" acc_tmp="$(mktemp)" mixed_tmp="$(mktemp)" wire_tmp="$(mktemp)" cluster_tmp="$(mktemp)" obs_tmp="$(mktemp)"
-trap 'rm -f "${tmp1}" "${tmp4}" ${merged:+"${merged}"} "${serving_tmp}" "${ha_tmp}" "${acc_tmp}" "${mixed_tmp}" "${wire_tmp}" "${cluster_tmp}" "${obs_tmp}"' EXIT
+trap 'rm -f "${tmp1}" ${merged:+"${merged}"} "${serving_tmp}" "${ha_tmp}" "${acc_tmp}" "${mixed_tmp}" "${wire_tmp}" "${cluster_tmp}" "${obs_tmp}"' EXIT
 "${build_dir}/fig2_throughput" closed_loop=1 clients=8 per_client=100 \
   json="${serving_tmp}"
 # Wire data plane: the HT fan-out served fp32 (v2) vs int8 input shards

@@ -98,7 +98,9 @@ void FillFromPool(std::vector<T>& out, const std::uint8_t* p,
   } else {
     out.resize(len);
   }
-  std::memcpy(out.data(), p, len * sizeof(T));
+  // An empty vector's data() may be null, and memcpy from/to null is
+  // undefined even for zero bytes.
+  if (len != 0) std::memcpy(out.data(), p, len * sizeof(T));
 }
 
 }  // namespace
@@ -139,7 +141,9 @@ Status ByteReader::TryReadFloats(std::vector<float>& out) {
 Status ByteReader::TryReadTensor(Tensor& out) {
   std::uint32_t rank = 0;
   FLUID_RETURN_IF_ERROR(TryReadU32(rank));
-  if (rank > 8) return Status::DataLoss("tensor rank implausibly large");
+  if (rank > Shape::kMaxRank) {
+    return Status::DataLoss("tensor rank implausibly large");
+  }
   std::vector<std::int64_t> dims(rank);
   for (auto& d : dims) {
     FLUID_RETURN_IF_ERROR(TryReadI64(d));
@@ -147,11 +151,12 @@ Status ByteReader::TryReadTensor(Tensor& out) {
   }
   std::vector<float> values;
   FLUID_RETURN_IF_ERROR(TryReadFloats(values));
-  Shape shape(std::move(dims));
-  if (shape.numel() != static_cast<std::int64_t>(values.size())) {
+  const StatusOr<std::int64_t> numel = CheckedNumel(dims);
+  if (!numel.ok()) return numel.status();
+  if (*numel != static_cast<std::int64_t>(values.size())) {
     return Status::DataLoss("tensor payload size does not match shape");
   }
-  out = Tensor(std::move(shape), std::move(values));
+  out = Tensor(Shape(dims), std::move(values));
   return Status::Ok();
 }
 

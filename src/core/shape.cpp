@@ -36,6 +36,17 @@ std::int64_t Shape::numel() const {
   return n;
 }
 
+StatusOr<std::int64_t> CheckedNumel(std::span<const std::int64_t> dims) {
+  std::int64_t n = 1;
+  for (const std::int64_t d : dims) {
+    if (d < 0) return Status::DataLoss("shape has a negative dim");
+    if (__builtin_mul_overflow(n, d, &n)) {
+      return Status::DataLoss("shape element count overflows int64");
+    }
+  }
+  return n;
+}
+
 std::vector<std::int64_t> Shape::Strides() const {
   std::vector<std::int64_t> strides(rank(), 1);
   for (std::size_t i = rank(); i-- > 1;) {

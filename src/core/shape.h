@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "core/error.h"
+
 namespace fluid::core {
 
 class Shape {
@@ -63,5 +65,10 @@ class Shape {
   std::int64_t dims_[kMaxRank] = {};
   std::size_t rank_ = 0;
 };
+
+/// Element count of a shape read off the wire, checked: DataLoss when a
+/// dim is negative or the product overflows int64. Every decoder uses this
+/// instead of Shape::numel() before trusting an untrusted shape.
+StatusOr<std::int64_t> CheckedNumel(std::span<const std::int64_t> dims);
 
 }  // namespace fluid::core

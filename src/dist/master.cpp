@@ -177,8 +177,9 @@ void MasterNode::EnableTraceWire(std::size_t index, bool on) {
 }
 
 void MasterNode::DeployLocal(std::string name, nn::Sequential model) {
+  nn::CompiledNet plan(std::move(model));
   std::lock_guard<std::mutex> lock(mu_);
-  local_[std::move(name)] = std::move(model);
+  local_[std::move(name)] = std::move(plan);
 }
 
 core::Status MasterNode::DeployToWorker(const std::string& name,
@@ -507,7 +508,7 @@ bool MasterNode::LaunchFrame(BatchScheduler::WorkChunk& chunk) {
   const std::size_t w = plan_.back_worker;
   core::Tensor storage;
   const core::Tensor* stacked = StackChunk(chunk, storage);
-  core::Tensor cut = local_[plan_.pipeline_front].Forward(*stacked, false);
+  core::Tensor cut = local_.at(plan_.pipeline_front).Forward(*stacked);
   if (!storage.empty()) core::RecycleTensor(std::move(storage));
   // The negotiated wire format of the back half: int8_wire ⇒ v3 frames.
   const Deployment* back_dep = FindDeploymentLocked(w, plan_.pipeline_back);
@@ -668,7 +669,7 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServePipelineBatchLocked(
     return core::Status::DeadlineExceeded(
         "master: batch deadline exhausted before the pipeline could ship");
   }
-  nn::Sequential& front = local_[plan_.pipeline_front];
+  nn::CompiledNet& front = local_.at(plan_.pipeline_front);
   const std::int64_t n = input.shape()[0];
   const std::int64_t chunk =
       std::max<std::int64_t>(1, static_cast<std::int64_t>(batch_options_.ha_chunk));
@@ -764,8 +765,8 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServePipelineBatchLocked(
   for (std::int64_t row0 = 0; row0 < n; row0 += chunk) {
     const std::int64_t rows = std::min(chunk, n - row0);
     core::Tensor cut =
-        rows == n ? front.Forward(input, false)
-                  : front.Forward(core::SliceAxis0(input, row0, rows), false);
+        rows == n ? front.Forward(input)
+                  : front.Forward(core::SliceAxis0(input, row0, rows));
     const std::int64_t seq = next_seq_++;
     workers_[w].pending.push_back(seq);
     Message frame;
@@ -886,11 +887,10 @@ core::StatusOr<MasterNode::BatchResult> MasterNode::ServeShardedLocked(
                            : core::SliceAxis0(input, shard.row0, shard.rows);
   };
   auto local_forward = [&](const Shard& shard) {
-    nn::Sequential& model = local_it->second;
+    nn::CompiledNet& model = local_it->second;
     return shard.rows == n
-               ? model.Forward(input, false)
-               : model.Forward(core::SliceAxis0(input, shard.row0, shard.rows),
-                               false);
+               ? model.Forward(input)
+               : model.Forward(core::SliceAxis0(input, shard.row0, shard.rows));
   };
 
   BatchResult out;

@@ -72,6 +72,7 @@
 #include "dist/serving_queue.h"
 #include "dist/transport.h"
 #include "nn/checkpoint.h"
+#include "nn/compiled_net.h"
 #include "nn/sequential.h"
 #include "sim/scenario.h"
 #include "slim/fluid_model.h"
@@ -149,7 +150,9 @@ class MasterNode {
   std::size_t AliveWorkers() const;
   bool WorkerAlive(std::size_t index) const;
 
-  /// Host a model on the master itself.
+  /// Host a model on the master itself, compiled into an nn::CompiledNet
+  /// (every local forward — HA front, standalone and failover slice —
+  /// runs the compiled plan).
   void DeployLocal(std::string name, nn::Sequential model);
 
   /// Ship blueprint + weights to worker `worker` and wait for its ack.
@@ -395,7 +398,7 @@ class MasterNode {
   /// a receive path or an awaiter holds a reference.
   std::deque<WorkerHandle> workers_;
   PipelineWindow ha_;
-  std::map<std::string, nn::Sequential> local_;
+  std::map<std::string, nn::CompiledNet> local_;
   Plan plan_;
   sim::Mode mode_ = sim::Mode::kHighAccuracy;
   MasterStats stats_;

@@ -462,16 +462,23 @@ class TcpTransport final : public Transport {
     }
     dims.resize(rank);
     std::int64_t prod = 1;
-    for (auto& d : dims) {
-      if (!c.Fixed(d)) {
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      if (!c.Fixed(dims[i])) {
         incomplete = true;
         return core::Status::Ok();
       }
-      if (d < 0) return core::Status::DataLoss("tcp: negative payload dim");
-      if (d > 0 && prod > static_cast<std::int64_t>(kMaxFrameBody) / d) {
+      if (dims[i] < 0) {
+        return core::Status::DataLoss("tcp: negative payload dim");
+      }
+      // Bounded as each dim arrives, so a hostile shape is refused before
+      // the rest of its frame is buffered.
+      const core::StatusOr<std::int64_t> numel = core::CheckedNumel(
+          std::span<const std::int64_t>(dims.data(), i + 1));
+      if (!numel.ok()) return numel.status();
+      prod = *numel;
+      if (prod > static_cast<std::int64_t>(kMaxFrameBody)) {
         return core::Status::DataLoss("tcp: payload exceeds frame body");
       }
-      prod *= d;
     }
     if (!c.Fixed(count)) {
       incomplete = true;

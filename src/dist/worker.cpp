@@ -178,9 +178,12 @@ Message WorkerNode::HandleDeploy(const Message& msg) {
     if (req.blueprint.quant.int8_compute) {
       model = quant::QuantizeModel(model);
     }
+    // Every forward this deployment serves runs the compiled plan; a
+    // reattach replays the deploy, so a fresh worker compiles too.
+    nn::CompiledNet plan(std::move(model));
     {
       std::lock_guard<std::mutex> lock(mu_);
-      deployments_[req.name] = std::move(model);
+      deployments_[req.name] = std::move(plan);
     }
     FLUID_LOG(Info) << "worker '" << name_ << "': deployed '" << req.name
                     << (req.blueprint.quant.int8_compute ? "' (int8)" : "'");
@@ -273,7 +276,7 @@ core::StatusOr<core::Tensor> WorkerNode::LocalInfer(const std::string& model,
                                   model + "'");
   }
   try {
-    return it->second.Forward(input, false);
+    return it->second.Forward(input);
   } catch (const std::exception& e) {
     return core::Status::InvalidArgument("worker '" + name_ + "' infer '" +
                                          model + "': " + e.what());
@@ -289,9 +292,9 @@ core::StatusOr<core::Tensor> WorkerNode::LocalInfer(const std::string& model,
                                   model + "'");
   }
   try {
-    // Same layers, same order as the const-ref path (RunInferenceFrom),
-    // just consuming the input so every intermediate cycles the pool.
-    return it->second.ForwardInference(std::move(input));
+    // Same plan as the const-ref path, just consuming the input so every
+    // intermediate cycles the pool.
+    return it->second.Forward(std::move(input));
   } catch (const std::exception& e) {
     return core::Status::InvalidArgument("worker '" + name_ + "' infer '" +
                                          model + "': " + e.what());

@@ -32,6 +32,7 @@
 #include "core/error.h"
 #include "dist/blueprint.h"
 #include "dist/transport.h"
+#include "nn/compiled_net.h"
 #include "nn/sequential.h"
 #include "slim/fluid_model.h"
 
@@ -123,7 +124,7 @@ class WorkerNode {
   std::atomic<std::int64_t> priority_reorders_{0};
 
   mutable std::mutex mu_;  // guards deployments_
-  std::map<std::string, nn::Sequential> deployments_;
+  std::map<std::string, nn::CompiledNet> deployments_;
 };
 
 }  // namespace fluid::dist

@@ -1,5 +1,6 @@
 #include "nn/activations.h"
 
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -7,21 +8,50 @@
 
 namespace fluid::nn {
 
+namespace {
+
+// Both activations are selects over values computed unconditionally, so
+// they compile to vector compare + blend rather than a branch on each
+// value's sign (which mispredicts on real activations). The results are
+// those of the ternaries as written: NaN fails `v > 0` and takes the
+// second operand, ±0 and denormals likewise.
+float Relu(float v) { return v > 0.0F ? v : 0.0F; }
+
+struct Leaky {
+  float slope;
+  float operator()(float v) const {
+    const float leak = slope * v;
+    return v > 0.0F ? v : leak;
+  }
+};
+
+// dst[i] = f(src[i]); dst may be src. Blocks have a fixed trip count and
+// are read into a local before any store, so the compiler vectorizes each
+// block without alias checks; a scalar loop finishes the tail.
+template <typename F>
+void Map(std::span<const float> src, std::span<float> dst, F f) {
+  constexpr std::size_t kBlock = 16;
+  const std::size_t n = src.size();
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    float v[kBlock];
+    for (std::size_t j = 0; j < kBlock; ++j) v[j] = src[i + j];
+    for (std::size_t j = 0; j < kBlock; ++j) dst[i + j] = f(v[j]);
+  }
+  for (; i < n; ++i) dst[i] = f(src[i]);
+}
+
+}  // namespace
+
 core::Tensor ReLU::Forward(const core::Tensor& input, bool training) {
   core::Tensor output(input.shape());
-  auto in = input.data();
-  auto out = output.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = in[i] > 0.0F ? in[i] : 0.0F;
-  }
+  Map(input.data(), output.data(), Relu);
   if (training) cached_input_ = input;
   return output;
 }
 
 core::Tensor ReLU::ForwardInference(core::Tensor&& input) {
-  for (float& v : input.data()) {
-    v = v > 0.0F ? v : 0.0F;
-  }
+  Map(input.data(), input.data(), Relu);
   return std::move(input);
 }
 
@@ -47,19 +77,13 @@ LeakyReLU::LeakyReLU(float slope) : slope_(slope) {
 
 core::Tensor LeakyReLU::Forward(const core::Tensor& input, bool training) {
   core::Tensor output(input.shape());
-  auto in = input.data();
-  auto out = output.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = in[i] > 0.0F ? in[i] : slope_ * in[i];
-  }
+  Map(input.data(), output.data(), Leaky{slope_});
   if (training) cached_input_ = input;
   return output;
 }
 
 core::Tensor LeakyReLU::ForwardInference(core::Tensor&& input) {
-  for (float& v : input.data()) {
-    v = v > 0.0F ? v : slope_ * v;
-  }
+  Map(input.data(), input.data(), Leaky{slope_});
   return std::move(input);
 }
 

@@ -48,24 +48,6 @@ core::Tensor Conv2d::Forward(const core::Tensor& input, bool training) {
   return output;
 }
 
-core::Tensor Conv2d::ForwardFusedLeaky(const core::Tensor& input,
-                                       float slope) {
-  const auto& s = input.shape();
-  FLUID_CHECK_MSG(s.rank() == 4 && s[1] == in_channels_,
-                  "Conv2d: expected input [N," + std::to_string(in_channels_) +
-                      ",H,W], got " + s.ToString());
-  const std::int64_t batch = s[0], height = s[2], width = s[3];
-  const std::int64_t out_h = ConvOutExtent(height, kernel_, stride_, pad_);
-  const std::int64_t out_w = ConvOutExtent(width, kernel_, stride_, pad_);
-
-  core::Tensor output =
-      core::AcquireTensor({batch, out_channels_, out_h, out_w});
-  ConvForwardFused(input.data(), batch, in_channels_, height, width, kernel_,
-                   stride_, pad_, out_channels_, weight_.data().data(),
-                   bias_.data().data(), output.data(), slope);
-  return output;
-}
-
 core::Tensor Conv2d::Backward(const core::Tensor& grad_output) {
   FLUID_CHECK_MSG(!cached_input_.empty(),
                   "Conv2d::Backward without training Forward");

@@ -30,12 +30,6 @@ class Conv2d : public Layer {
   std::int64_t stride() const { return stride_; }
   std::int64_t pad() const { return pad_; }
 
-  /// Inference forward with the following LeakyReLU folded into the
-  /// fused bias scatter (bitwise identical to Forward + LeakyReLU — the
-  /// scatter applies exactly max(v, slope·v) after the bias add). Used by
-  /// Sequential's serve-path peephole; never caches.
-  core::Tensor ForwardFusedLeaky(const core::Tensor& input, float slope);
-
   core::Tensor& weight() { return weight_; }
   core::Tensor& bias() { return bias_; }
 

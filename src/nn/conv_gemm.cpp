@@ -28,7 +28,7 @@ void ConvForwardFused(std::span<const float> input, std::int64_t batch,
                       std::int64_t stride, std::int64_t pad,
                       std::int64_t out_ch, const float* weight,
                       const float* bias, std::span<float> output,
-                      float leaky_slope, ConvScratch* scratch) {
+                      ConvScratch* scratch) {
   const std::int64_t out_h = ConvOutExtent(height, kernel, stride, pad);
   const std::int64_t out_w = ConvOutExtent(width, kernel, stride, pad);
   const std::int64_t patch = in_ch * kernel * kernel;
@@ -72,23 +72,14 @@ void ConvForwardFused(std::span<const float> input, std::int64_t batch,
     core::Gemm(false, false, out_ch, ncols, patch, 1.0F, weight, patch,
                cols.data(), ncols, 0.0F, fused.data(), ncols);
     // Scatter the channel-major fused rows back into per-sample
-    // [out_ch, area] planes, adding bias — and the folded LeakyReLU, when
-    // requested — on the way out.
-    const float slope = leaky_slope;
+    // [out_ch, area] planes, adding bias on the way out.
     core::ParallelForEach(0, cnt, 1, [&](std::int64_t i) {
       float* out_sample = output.data() + (lo + i) * out_ch * area;
       for (std::int64_t c = 0; c < out_ch; ++c) {
         const float b = bias[c];
         const float* src = fused.data() + c * ncols + i * area;
         float* dst = out_sample + c * area;
-        if (slope == 1.0F) {
-          for (std::int64_t j = 0; j < area; ++j) dst[j] = src[j] + b;
-        } else {
-          for (std::int64_t j = 0; j < area; ++j) {
-            const float v = src[j] + b;
-            dst[j] = v > 0.0F ? v : slope * v;
-          }
-        }
+        for (std::int64_t j = 0; j < area; ++j) dst[j] = src[j] + b;
       }
     });
   }

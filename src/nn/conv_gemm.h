@@ -54,13 +54,6 @@ struct ConvScratch {
 ///   bias:   [out_ch] (callers with sliced bias pass an offset pointer).
 ///   output: [batch, out_ch, out_h, out_w] contiguous, overwritten with
 ///           conv(input, weight) + bias.
-///   leaky_slope: when != 1, the bias scatter also applies
-///           max(v, slope·v) on the way out — the scatter already touches
-///           every output element, so the folded activation is free on
-///           the serve path (and bitwise identical to a separate
-///           LeakyReLU layer, which computes exactly v > 0 ? v : slope·v
-///           after the same bias add). 1 means "no activation": the fold
-///           is skipped entirely, not computed as max(v, v).
 ///   scratch: caller-owned working buffers, or nullptr for the reusable
 ///           per-thread default (either way, steady-state repeat shapes
 ///           allocate nothing).
@@ -70,7 +63,6 @@ void ConvForwardFused(std::span<const float> input, std::int64_t batch,
                       std::int64_t stride, std::int64_t pad,
                       std::int64_t out_ch, const float* weight,
                       const float* bias, std::span<float> output,
-                      float leaky_slope = 1.0F,
                       ConvScratch* scratch = nullptr);
 
 /// Deterministic chunked conv backward, shared by both conv layers: the

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "core/error.h"
-#include "nn/activations.h"
-#include "nn/conv2d.h"
 
 namespace fluid::nn {
 
@@ -25,13 +23,6 @@ core::Tensor Sequential::Forward(const core::Tensor& input, bool training) {
   // defensive copy), and every intermediate is owned by this frame, so
   // elementwise layers may consume it in place via ForwardInference.
   if (layers_.empty()) return input;
-  if (Layer* leaky = FusableLeakyAfter(0)) {
-    auto& conv = static_cast<Conv2d&>(*layers_.front());
-    return RunInferenceFrom(
-        conv.ForwardFusedLeaky(input,
-                               static_cast<LeakyReLU*>(leaky)->slope()),
-        2);
-  }
   return RunInferenceFrom(layers_.front()->Forward(input, false), 1);
 }
 
@@ -39,30 +30,9 @@ core::Tensor Sequential::ForwardInference(core::Tensor&& input) {
   return RunInferenceFrom(std::move(input), 0);
 }
 
-Layer* Sequential::FusableLeakyAfter(std::size_t i) const {
-  // The fold is exact (the scatter computes the same v > 0 ? v : slope·v
-  // a separate LeakyReLU would), so the peephole is always safe on the
-  // inference path; dynamic_cast keeps it honest against subclasses that
-  // merely reuse the Kind() string.
-  if (i + 1 >= layers_.size()) return nullptr;
-  if (dynamic_cast<Conv2d*>(layers_[i].get()) == nullptr) return nullptr;
-  return dynamic_cast<LeakyReLU*>(layers_[i + 1].get());
-}
-
 core::Tensor Sequential::RunInferenceFrom(core::Tensor&& x, std::size_t i) {
   core::Tensor t = std::move(x);
-  for (; i < layers_.size(); ++i) {
-    if (Layer* leaky = FusableLeakyAfter(i)) {
-      auto& conv = static_cast<Conv2d&>(*layers_[i]);
-      core::Tensor next =
-          conv.ForwardFusedLeaky(t, static_cast<LeakyReLU*>(leaky)->slope());
-      core::RecycleTensor(std::move(t));
-      t = std::move(next);
-      ++i;  // the activation ran inside the conv's scatter
-      continue;
-    }
-    t = layers_[i]->ForwardInference(std::move(t));
-  }
+  for (; i < layers_.size(); ++i) t = layers_[i]->ForwardInference(std::move(t));
   return t;
 }
 

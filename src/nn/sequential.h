@@ -37,11 +37,9 @@ class Sequential : public Layer {
   std::int64_t ParamCount();
 
  private:
-  /// Run layers [i, end) on the inference path with the Conv2d+LeakyReLU
-  /// peephole (the activation folds into the conv's bias scatter).
+  /// Run layers [i, end) on the inference path, each consuming the
+  /// previous one's output.
   core::Tensor RunInferenceFrom(core::Tensor&& x, std::size_t i);
-  /// The LeakyReLU folded into layer i's conv, if the peephole applies.
-  Layer* FusableLeakyAfter(std::size_t i) const;
 
   std::vector<LayerPtr> layers_;
 };

@@ -165,7 +165,7 @@ core::Status QuantizedTensor::Decode(core::ByteReader& r, QuantizedTensor& out) 
   }
   std::uint32_t rank = 0;
   FLUID_RETURN_IF_ERROR(r.TryReadU32(rank));
-  if (rank > 8) {
+  if (rank > core::Shape::kMaxRank) {
     return core::Status::DataLoss("QuantizedTensor: rank implausibly large");
   }
   std::vector<std::int64_t> dims(rank);
@@ -176,12 +176,13 @@ core::Status QuantizedTensor::Decode(core::ByteReader& r, QuantizedTensor& out) 
   // Decode straight into the (pooled) int8 payload — no staging copy;
   // the length is still bounded by the reader's remaining().
   FLUID_RETURN_IF_ERROR(r.TryReadBytes(q.data));
-  core::Shape shape(std::move(dims));
-  if (shape.numel() != q.numel()) {
+  const core::StatusOr<std::int64_t> numel = core::CheckedNumel(dims);
+  if (!numel.ok()) return numel.status();
+  if (*numel != q.numel()) {
     return core::Status::DataLoss(
         "QuantizedTensor: payload size does not match shape");
   }
-  q.shape = std::move(shape);
+  q.shape = core::Shape(dims);
   out = std::move(q);
   return core::Status::Ok();
 }

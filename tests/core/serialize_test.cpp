@@ -91,6 +91,18 @@ TEST(SerializeTest, CorruptTensorShapeIsRejectedNotCrashing) {
   EXPECT_EQ(r.TryReadTensor(t).code(), StatusCode::kDataLoss);
 }
 
+TEST(SerializeTest, OverflowingShapeProductIsDataLoss) {
+  // 2^32 · 2^32 wraps int64 to 0, which would "match" an empty payload.
+  ByteWriter w;
+  w.WriteU32(2);
+  w.WriteI64(std::int64_t{1} << 32);
+  w.WriteI64(std::int64_t{1} << 32);
+  w.WriteU64(0);
+  ByteReader r(w.buffer());
+  Tensor t;
+  EXPECT_EQ(r.TryReadTensor(t).code(), StatusCode::kDataLoss);
+}
+
 TEST(SerializeTest, ImplausibleRankRejected) {
   ByteWriter w;
   w.WriteU32(1000);

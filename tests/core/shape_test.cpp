@@ -1,5 +1,8 @@
 #include "core/shape.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/error.h"
@@ -69,6 +72,25 @@ TEST(ShapeTest, EqualityComparesDims) {
 TEST(ShapeTest, ToStringIsReadable) {
   EXPECT_EQ(Shape({1, 28, 28}).ToString(), "[1, 28, 28]");
   EXPECT_EQ(Shape{}.ToString(), "[]");
+}
+
+TEST(CheckedNumelTest, ProductOfUntrustedDims) {
+  const std::vector<std::int64_t> ok = {2, 3, 4};
+  ASSERT_TRUE(CheckedNumel(ok).ok());
+  EXPECT_EQ(*CheckedNumel(ok), 24);
+  EXPECT_EQ(*CheckedNumel(std::vector<std::int64_t>{}), 1);
+  EXPECT_EQ(*CheckedNumel(std::vector<std::int64_t>{0, INT64_MAX}), 0);
+}
+
+TEST(CheckedNumelTest, OverflowAndNegativeDimsAreDataLoss) {
+  const std::vector<std::int64_t> wraps = {INT64_MAX / 2, 3};
+  EXPECT_EQ(CheckedNumel(wraps).status().code(), StatusCode::kDataLoss);
+  const std::vector<std::int64_t> wraps_to_small = {
+      std::int64_t{1} << 32, std::int64_t{1} << 32, 4};
+  EXPECT_EQ(CheckedNumel(wraps_to_small).status().code(),
+            StatusCode::kDataLoss);
+  const std::vector<std::int64_t> negative = {4, -1};
+  EXPECT_EQ(CheckedNumel(negative).status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

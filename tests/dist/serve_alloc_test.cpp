@@ -22,6 +22,7 @@
 #include "dist/master.h"
 #include "dist/worker.h"
 #include "nn/checkpoint.h"
+#include "nn/compiled_net.h"
 #include "obs/trace.h"
 #include "train/model_zoo.h"
 
@@ -81,6 +82,36 @@ TEST(ForwardAllocTest, Int8ForwardReachesZeroSteadyStateAllocs) {
   EXPECT_EQ(core::AllocCount() - before, 0u);
 }
 
+// The same discipline on the compiled plans every serve path runs: pooled
+// activations and grow-only scratch, so a warm forward allocates nothing —
+// fp32 (direct kernels) and int8 (generic steps over the quant layers).
+void ExpectCompiledForwardAllocFree(nn::Sequential model, std::uint64_t seed) {
+  nn::CompiledNet plan(std::move(model));
+  core::Rng rng(seed);
+  const core::Tensor x = core::Tensor::UniformRandom({4, 1, 28, 28}, rng, 0, 1);
+  auto forward = [&] {
+    core::RecycleTensor(plan.Forward(x));
+    core::RecycleTensor(plan.Forward(core::AcquireTensorCopy(x)));
+  };
+  ASSERT_TRUE(WarmUntilStable(forward, 0))
+      << "compiled forward never reached an alloc-free pass";
+  const auto before = core::AllocCount();
+  for (int i = 0; i < 10; ++i) forward();
+  EXPECT_EQ(core::AllocCount() - before, 0u);
+}
+
+TEST(ForwardAllocTest, CompiledFp32ForwardReachesZeroSteadyStateAllocs) {
+  slim::FluidModel fluid = slim::FluidModel::PaperDefault(7);
+  ExpectCompiledForwardAllocFree(
+      fluid.ExtractSubnet(fluid.family().Combined()), 13);
+}
+
+TEST(ForwardAllocTest, CompiledInt8ForwardReachesZeroSteadyStateAllocs) {
+  slim::FluidModel fluid = slim::FluidModel::PaperDefault(7);
+  ExpectCompiledForwardAllocFree(
+      fluid.ExtractSubnetQuantized(fluid.family().Combined()), 14);
+}
+
 // One master + one worker over the in-memory pair — the closed-loop
 // topology of the serving bench, scaled down.
 class ServeAllocTest : public ::testing::Test {
@@ -121,6 +152,15 @@ class ServeAllocTest : public ::testing::Test {
                                     nn::ExtractState(upper))
                     .ok());
     master_.SetPlan({"lower50", "upper50", "front", "back"});
+  }
+
+  // HT mode round-robins single requests between the master's slice and
+  // the worker, so one warmup pass must visit both: a pass of one request
+  // could stop the warmup before the other side's first forward, and its
+  // one-time scratch and pool growth would land in the measured window.
+  void ServeBothTargets() {
+    ServeOne();
+    ServeOne();
   }
 
   // One closed-loop request; the reply's logits recycle so the next
@@ -173,7 +213,7 @@ class ServeAllocTest : public ::testing::Test {
 TEST_F(ServeAllocTest, SyncServePathStaysWithinAllocBudget) {
   DeployPaperPlan();
   master_.SetMode(sim::Mode::kHighThroughput);
-  ASSERT_TRUE(WarmUntilStable([&] { ServeOne(); }, 6))
+  ASSERT_TRUE(WarmUntilStable([&] { ServeBothTargets(); }, 12))
       << "sync serve path never stabilized";
   const PerRequestCost cost = MeasurePerRequest(50);
   EXPECT_LE(cost.allocs, 6.0);
@@ -186,7 +226,7 @@ TEST_F(ServeAllocTest, AsyncBatchedServePathStaysWithinAllocBudget) {
   DeployPaperPlan();
   master_.SetMode(sim::Mode::kHighThroughput);
   master_.StartServing(BatchOptions{});
-  ASSERT_TRUE(WarmUntilStable([&] { ServeOne(); }, 12))
+  ASSERT_TRUE(WarmUntilStable([&] { ServeBothTargets(); }, 24))
       << "async serve path never stabilized";
   const PerRequestCost cost = MeasurePerRequest(50);
   EXPECT_LE(cost.allocs, 12.0);
